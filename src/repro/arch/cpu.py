@@ -110,6 +110,65 @@ OP_UNDEF = 4  # (OP_UNDEF,): UndefinedInstruction after the charge
 OP_UNDEF_NOCHARGE = 5  # (OP_UNDEF_NOCHARGE,): UNDEF before the charge
 
 
+def el2_route(reg, enc, host_e2h, has_vhe):
+    """Where an access at real EL2 lands: ``(bank_is_el2, target,
+    AccessKind)``, or None when it is UNDEFINED.
+
+    The host hypervisor's accesses never trap, so resolving one is only
+    a choice of bank and register.  This function is that choice and
+    nothing else (no charge, no state), so the classification ladder
+    (:meth:`Cpu._access_at_el2`) and the register-block compiler
+    (:meth:`Cpu.compile_block`) route from one rule.
+    """
+    if enc is Encoding.EL12 or enc is Encoding.EL02:
+        if not (has_vhe and host_e2h):
+            return None
+        return False, reg.name, AccessKind.DIRECT_EL1
+    if reg.el == 2:
+        return True, reg.name, AccessKind.DIRECT_EL2
+    # EL1-encoded access at EL2.
+    if host_e2h and reg.e2h_redirect is not None:
+        return True, reg.e2h_redirect, AccessKind.DIRECT_EL2
+    return False, reg.name, AccessKind.DIRECT_EL1
+
+
+# --------------------------------------------------------------------------
+# Compiled register blocks.
+#
+# A block is a fixed register sequence, one step per access, in program
+# order: ``(name, enc, op)``.  The op says where the value comes from and
+# goes to; "the vcpu struct" is the caller's memory-backed context (see
+# repro.hypervisor.vcpu.VcpuStruct), keyed by the step's register name.
+# --------------------------------------------------------------------------
+
+BLOCK_READ = "read"  # hardware read, value returned to the caller
+BLOCK_WRITE = "write"  # hardware write of the caller's next value
+BLOCK_SAVE = "save"  # hardware read, value stored in the vcpu struct
+BLOCK_RESTORE = "restore"  # vcpu-struct value written to hardware
+
+
+class RegisterBlock:
+    """A register sequence compiled for one CPU at real EL2.
+
+    ``runs`` are the hardware moves, consecutive steps on the same bank
+    with the same op merged: ``((bank_is_el2, op, targets), ...)``.
+    ``loads``/``saves`` name the vcpu-struct registers the restore/save
+    steps move, in order.  ``load_first`` is set when the sequence's
+    first access charges the vcpu-struct load rather than the sysreg
+    access, so the summed charges keep the per-access category order.
+    """
+
+    __slots__ = ("runs", "reads", "writes", "loads", "saves", "load_first")
+
+    def __init__(self, runs, reads, writes, loads, saves, load_first):
+        self.runs = runs
+        self.reads = reads
+        self.writes = writes
+        self.loads = loads
+        self.saves = saves
+        self.load_first = load_first
+
+
 class Cpu:
     """One simulated CPU (a physical core).
 
@@ -197,6 +256,11 @@ class Cpu:
         # charges the ledger, disabled path is one attribute check
         # (enforced by san-profile-zero-cycles).
         self.redundancy = None
+
+        # Compiled register blocks (see compile_block), keyed by
+        # (host_e2h, the sequence's key as its caller names it by value).
+        # None marks a sequence the compiler rejected.
+        self._blocks = {}
 
     # ------------------------------------------------------------------
     # Context management
@@ -583,23 +647,132 @@ class Cpu:
         self._verdicts.clear()
         self._neve_verdict_state = None
 
+    # -- compiled register blocks ---------------------------------------
+
+    def block_eligible(self):
+        """May a compiled register block stand in for per-access
+        execution right now?
+
+        Only at real EL2, where no access can trap or defer, and only
+        without the redundancy observatory, which counts every
+        classification.  Every other attached consumer is inert for
+        these accesses by its own code: the fault injector's
+        ``cpu.msr``/``cpu.mrs``/``cpu.serror`` points return before
+        counting unless the CPU is at virtual EL2, the sanitizer checks
+        only virtual-EL2 accesses and EL2 ``*_EL12``/``*_EL02`` aliases
+        (which never compile), and the tracer's and metrics' ledger
+        hooks only add cycles to the open span or counter.
+        """
+        return self.current_el == ExceptionLevel.EL2 and \
+            self.redundancy is None
+
+    def register_block(self, key, build):
+        """This CPU's compiled block for the sequence named *key*, or
+        None when it does not compile.  *key* names the sequence by
+        value (e.g. its register-name tuples), so an edited sequence
+        compiles afresh; ``build()`` returns its steps on first use."""
+        full_key = (self.host_e2h, key)
+        try:
+            return self._blocks[full_key]
+        except KeyError:
+            block = self._blocks[full_key] = self.compile_block(build())
+            return block
+
+    def compile_block(self, steps):
+        """Compile *steps* (``(name, enc, op)`` in program order) for
+        this CPU at real EL2, or return None to keep them per access.
+
+        Every step is routed by :func:`el2_route`, the ladder's own EL2
+        rule, for this CPU's ``host_e2h`` and architecture.  A block
+        compiles only if every step is a NORMAL-encoding access that
+        the ladder turns into a hardware register move; any of these
+        rejects the whole block: a pre-charge UNDEF (``vhe_only``, or a
+        write to a read-only register), a ``*_EL12``/``*_EL02`` alias, a
+        GIC CPU-interface register, or a ``VNCR_EL2`` write.
+        """
+        if not steps:
+            return None
+        has_vhe = self.arch.has_vhe
+        runs = []
+        reads = writes = 0
+        loads = []
+        saves = []
+        for name, enc, op in steps:
+            reg = lookup_register(name)
+            is_write = op == BLOCK_WRITE or op == BLOCK_RESTORE
+            if (enc is not Encoding.NORMAL
+                    or reg.reg_class is RegClass.GIC_CPU
+                    or (reg.vhe_only and not has_vhe)
+                    or (is_write and reg.read_only)):
+                return None
+            bank_is_el2, target, _kind = el2_route(reg, enc, self.host_e2h,
+                                                   has_vhe)
+            if is_write and bank_is_el2 and target == "VNCR_EL2":
+                return None
+            if is_write:
+                writes += 1
+            else:
+                reads += 1
+            if op == BLOCK_SAVE:
+                saves.append(name)
+            elif op == BLOCK_RESTORE:
+                loads.append(name)
+            if runs and runs[-1][0] == bank_is_el2 and runs[-1][1] == op:
+                runs[-1][2].append(target)
+            else:
+                runs.append((bank_is_el2, op, [target]))
+        return RegisterBlock(
+            runs=tuple((bank, op, tuple(targets))
+                       for bank, op, targets in runs),
+            reads=reads, writes=writes, loads=tuple(loads),
+            saves=tuple(saves), load_first=steps[0][2] == BLOCK_RESTORE)
+
+    def run_block(self, block, ctx=None, values=()):
+        """Execute a compiled block: one bulk move per run and one
+        summed charge per category, in the order the per-access path
+        would first have charged them.  *ctx* is the vcpu struct the
+        save/restore steps use; *values* feed the plain writes in turn.
+        Returns the plain reads' values, in order."""
+        ledger = self.ledger
+        costs = self.costs
+        cycles = (block.reads * costs.sysreg_read
+                  + block.writes * costs.sysreg_write)
+        if block.load_first:
+            loaded = ctx.load_many(block.loads)
+            ledger.charge(cycles, "sysreg")
+        else:
+            ledger.charge(cycles, "sysreg")
+            loaded = ctx.load_many(block.loads) if block.loads else ()
+        out = []
+        saved = []
+        used = restored = 0
+        for bank_is_el2, op, targets in block.runs:
+            regfile = self.el2_regs if bank_is_el2 else self.el1_regs
+            if op == BLOCK_READ:
+                out += regfile.read_many(targets)
+            elif op == BLOCK_SAVE:
+                saved += regfile.read_many(targets)
+            elif op == BLOCK_WRITE:
+                end = used + len(targets)
+                regfile.write_many(targets, values[used:end])
+                used = end
+            else:
+                end = restored + len(targets)
+                regfile.write_many(targets, loaded[restored:end])
+                restored = end
+        if saved:
+            ctx.save_many(block.saves, saved)
+        return out
+
     # -- resolution per context -----------------------------------------
 
     def _access_at_el2(self, reg, is_write, value, enc):
-        if enc is Encoding.EL12 or enc is Encoding.EL02:
-            if not (self.arch.has_vhe and self.host_e2h):
-                raise UndefinedInstruction(reg.name, is_write)
-            return self._hw_access(self.el1_regs, reg.name, is_write, value,
-                                   AccessKind.DIRECT_EL1)
-        if reg.el == 2:
-            return self._hw_access(self.el2_regs, reg.name, is_write, value,
-                                   AccessKind.DIRECT_EL2)
-        # EL1-encoded access at EL2.
-        if self.host_e2h and reg.e2h_redirect is not None:
-            return self._hw_access(self.el2_regs, reg.e2h_redirect,
-                                   is_write, value, AccessKind.DIRECT_EL2)
-        return self._hw_access(self.el1_regs, reg.name, is_write, value,
-                               AccessKind.DIRECT_EL1)
+        route = el2_route(reg, enc, self.host_e2h, self.arch.has_vhe)
+        if route is None:
+            raise UndefinedInstruction(reg.name, is_write)
+        bank_is_el2, target, kind = route
+        regfile = self.el2_regs if bank_is_el2 else self.el1_regs
+        return self._hw_access(regfile, target, is_write, value, kind)
 
     def _access_at_virtual_el2(self, reg, is_write, value, enc):
         if not self.arch.has_nv:
@@ -889,25 +1062,25 @@ class CpuOps:
             assert reg.el == 2
         return el2_name, Encoding.NORMAL
 
-    # -- the VM's EL1/EL0 state -------------------------------------------
+    # -- any state, by accessor -------------------------------------------
 
-    def read_vm(self, el1_name):
-        """Read VM context state: ``read_sysreg_el1()`` in KVM."""
-        enc = Encoding.EL12 if self.vhe else Encoding.NORMAL
-        return self.cpu.mrs(el1_name, enc)
-
-    def write_vm(self, el1_name, value):
-        enc = Encoding.EL12 if self.vhe else Encoding.NORMAL
-        return self.cpu.msr(el1_name, value, enc)
-
-    def read_vm_el0(self, el0_name):
-        """Access the VM's EL0 state (timers): EL02 encodings under VHE."""
-        enc = Encoding.EL02 if self.vhe else Encoding.NORMAL
-        return self.cpu.mrs(el0_name, enc)
-
-    def write_vm_el0(self, el0_name, value):
-        enc = Encoding.EL02 if self.vhe else Encoding.NORMAL
-        return self.cpu.msr(el0_name, value, enc)
+    def alias(self, name, accessor):
+        """The ``(register, encoding)`` one of KVM's accessors issues
+        for *name*.  ``"hyp"`` is the hypervisor's own state
+        (``read_sysreg_el2()``, as :meth:`read_hyp`); ``"vm"`` the VM's
+        EL1 state (``read_sysreg_el1()``: ``*_EL12`` under VHE);
+        ``"vm_el0"`` the VM's EL0 timers (``*_EL02`` under VHE); ``"raw"``
+        a plain ``cpu.mrs``/``msr`` of *name*.  The world switch's
+        register programs resolve through this."""
+        if accessor == "hyp":
+            return self._hyp_alias(name)
+        if accessor == "vm":
+            return name, Encoding.EL12 if self.vhe else Encoding.NORMAL
+        if accessor == "vm_el0":
+            return name, Encoding.EL02 if self.vhe else Encoding.NORMAL
+        if accessor == "raw":
+            return name, Encoding.NORMAL
+        raise ValueError("unknown accessor: %r" % (accessor,))
 
 
 def _e2h_reverse(el2_name):

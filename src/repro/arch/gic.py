@@ -73,6 +73,21 @@ def lr_name(index):
     return "ICH_LR%d_EL2" % index
 
 
+#: ``ICH_LR<n>_EL2`` names for every list register an implementation
+#: may have (1..16).
+LR_NAMES = tuple(lr_name(index) for index in range(16))
+
+_LR_STATE_SHIFT = 62
+_LR_HW_BIT = 1 << 61
+_LR_VINTID_MASK = 0xFFFFFFFF
+
+
+def lr_in_use(value):
+    """Whether an encoded list register holds an interrupt (its state
+    is not INVALID); the bit test :meth:`ListRegister.decode` implies."""
+    return (value >> _LR_STATE_SHIFT) & 3 != 0  # 0 is LrState.INVALID
+
+
 # ---------------------------------------------------------------------------
 # GICv2 memory-mapped hypervisor control interface (GICH)
 #
@@ -178,28 +193,34 @@ class Gic:
         return index
 
     def used_lr_count(self, cpu):
-        return sum(1 for i in range(self.num_lrs)
-                   if self.read_lr(cpu, i).state is not LrState.INVALID)
+        read = cpu.el2_regs.read
+        return sum(1 for name in LR_NAMES[:self.num_lrs]
+                   if lr_in_use(read(name)))
 
     # ------------------------------------------------------------------
     # Status registers (computed by hardware)
     # ------------------------------------------------------------------
 
     def sync_status(self, cpu):
-        """Recompute ICH_ELRSR/ICH_EISR/ICH_MISR from the list registers."""
+        """Recompute ICH_ELRSR/ICH_EISR/ICH_MISR from the list registers
+        (bit tests on the raw values; no decode)."""
         elrsr = 0
         eisr = 0
-        for index in range(self.num_lrs):
-            lr = self.read_lr(cpu, index)
-            if lr.state is LrState.INVALID:
+        used = 0
+        read = cpu.el2_regs.read
+        for index, name in enumerate(LR_NAMES[:self.num_lrs]):
+            value = read(name)
+            if lr_in_use(value):
+                used += 1
+            else:
                 elrsr |= 1 << index
-                if lr.vintid and not lr.hw:
+                if value & _LR_VINTID_MASK and not value & _LR_HW_BIT:
                     # EOI'd software interrupt with EOI maintenance set;
                     # simplified: flag only when requested via ICH_HCR.
                     eisr |= 1 << index
         cpu.el2_regs.write("ICH_ELRSR_EL2", elrsr)  # lint: allow(sim-sysreg-bypass)
         cpu.el2_regs.write("ICH_EISR_EL2", eisr)  # lint: allow(sim-sysreg-bypass)
-        underflow = int(self.used_lr_count(cpu) == 0)
+        underflow = int(used == 0)
         hcr = cpu.el2_regs.read("ICH_HCR_EL2")
         misr = underflow if (hcr & 0x2) else 0  # UIE -> MISR.U
         cpu.el2_regs.write("ICH_MISR_EL2", misr)  # lint: allow(sim-sysreg-bypass)

@@ -607,6 +607,21 @@ class RegisterFile:
             pass
         self._values[name] = value & 0xFFFFFFFFFFFFFFFF
 
+    # The bulk moves trust their names: they serve compiled register
+    # blocks (repro.arch.cpu.Cpu.compile_block), which look every name
+    # up in the registry once, when the block compiles.
+
+    def read_many(self, names):
+        """Bulk :meth:`read`: the values of *names*, in order."""
+        get = self._values.get
+        return [get(name, 0) for name in names]
+
+    def write_many(self, names, values):
+        """Bulk :meth:`write`: *values* into *names*, in order (a later
+        write to the same register wins, as it would one at a time)."""
+        self._values.update(zip(names, [value & 0xFFFFFFFFFFFFFFFF
+                                        for value in values]))
+
     def copy_from(self, other, names):
         """Bulk copy *names* from another RegisterFile (no cycle cost;
         callers charge costs through the CPU layer)."""

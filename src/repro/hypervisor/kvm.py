@@ -21,7 +21,14 @@ from repro.arch.cpu import Cpu
 from repro.arch.dispatch import DispatchTable
 from repro.arch.exceptions import ExceptionClass, ExceptionLevel
 from repro.arch.features import ArchConfig, ArchVersion, GicVersion
-from repro.arch.gic import Gic, ListRegister, LrState, lr_name
+from repro.arch.gic import (
+    LR_NAMES,
+    Gic,
+    ListRegister,
+    LrState,
+    lr_in_use,
+    lr_name,
+)
 from repro.arch.idregs import discover_from_arch
 from repro.arch.registers import NeveBehavior, RegClass, lookup_register
 from repro.arch.timer import EL1_TIMER_SAVE_LIST
@@ -73,15 +80,12 @@ VEL2_EXEC_PAIRS = (
 class Vm:
     """One virtual machine at the host-hypervisor level."""
 
-    _next_vmid = [1]
-
     def __init__(self, machine, vcpus, nested="none", guest_vhe=False):
         self.machine = machine
         self.vcpus = vcpus
         self.nested = nested  # "none" | "nv" | "neve"
         self.guest_vhe = guest_vhe
-        self.vmid = Vm._next_vmid[0]
-        Vm._next_vmid[0] += 1
+        self.vmid = machine.alloc_vmid()
         self.stage2 = PageTable(stage=2, fmt="el2", name="vm%d-s2" % self.vmid)
         self.stage2.map_range(0, RAM_BASE, 0x40_0000)  # boot mapping (4 MB)
         self.guest_hyp = None
@@ -139,9 +143,18 @@ class Machine:
         self.kvm = KvmHypervisor(self, gic_mmio=l0_gic_mmio)
         self.device_values = {}
         self.last_kick_mark = 0
+        self._next_vmid = 1
 
     def cpu(self, index=0):
         return self.cpus[index]
+
+    def alloc_vmid(self):
+        """The next VM id on this machine.  VM ids (and the VTTBR_EL2
+        values L0 programs from them) are per machine, so a machine's
+        run does not depend on how many VMs other machines created."""
+        vmid = self._next_vmid
+        self._next_vmid += 1
+        return vmid
 
     def device_read(self, addr):
         """Backing device model for MMIO reads (both emulation levels)."""
@@ -359,15 +372,11 @@ class KvmHypervisor:
         """Fold the saved list registers: completed interrupts leave
         INVALID slots behind, which must become reusable (KVM's
         vgic_fold_lr_state).  Live entries are compacted downwards."""
-        live = []
-        for index in range(self.machine.gic.num_lrs):
-            value = vcpu.el1_ctx.peek(lr_name(index))
-            if value and ListRegister.decode(value).state \
-                    is not LrState.INVALID:
-                live.append(value)
-        for index in range(self.machine.gic.num_lrs):
-            vcpu.el1_ctx.poke(lr_name(index),
-                              live[index] if index < len(live) else 0)
+        names = LR_NAMES[:self.machine.gic.num_lrs]
+        live = [value for value in map(vcpu.el1_ctx.peek, names)
+                if lr_in_use(value)]
+        for index, name in enumerate(names):
+            vcpu.el1_ctx.poke(name, live[index] if index < len(live) else 0)
         vcpu.used_lrs = len(live)
 
     def _l0_vgic_flush(self, cpu, vcpu):

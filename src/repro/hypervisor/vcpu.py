@@ -41,6 +41,18 @@ class VcpuStruct:
         self._cpu.ledger.charge(self._cpu.costs.mem_load, self._category)
         return self.regs.read(name)
 
+    def save_many(self, names, values):
+        """Bulk :meth:`save`: the same stores, one summed charge."""
+        cpu = self._cpu
+        cpu.ledger.charge(len(names) * cpu.costs.mem_store, self._category)
+        self.regs.write_many(names, values)
+
+    def load_many(self, names):
+        """Bulk :meth:`load`: the same loads, one summed charge."""
+        cpu = self._cpu
+        cpu.ledger.charge(len(names) * cpu.costs.mem_load, self._category)
+        return self.regs.read_many(names)
+
     def peek(self, name):
         """Read without charging (for assertions/tests only)."""
         return self.regs.read(name)

@@ -10,9 +10,26 @@ The flows are written once and parameterized by a
 :class:`repro.arch.cpu.CpuOps` adapter, mirroring how the one KVM/ARM
 source tree builds for non-VHE (split EL1/EL2) and VHE (all-EL2)
 configurations (Section 6.5 discusses exactly these design variants).
+
+The fixed register sequences (EL1 context save/restore, the exit
+context, trap (de)activation and the timers) are written as *programs*:
+``(register, accessor, op)`` steps in the order KVM issues them.  The
+accessor is the ``CpuOps`` family the access goes through (``"hyp"``,
+``"vm"``, ``"vm_el0"``, or ``"raw"`` for a plain ``cpu.mrs``/``msr``),
+the op one of :mod:`repro.arch.cpu`'s ``BLOCK_*`` operations.  A guest
+hypervisor at virtual EL2 runs a program one access at a time, so each
+access traps, defers or goes direct by the architecture rules.  L0 at
+real EL2 runs it as one compiled block: one bulk register move and one
+summed charge per category.  Both read the same program.
 """
 
-from repro.arch.cpu import CpuOps
+from repro.arch.cpu import (
+    BLOCK_READ as READ,
+    BLOCK_RESTORE as RESTORE,
+    BLOCK_SAVE as SAVE,
+    BLOCK_WRITE as WRITE,
+    CpuOps,
+)
 from repro.trace.spans import cpu_span
 
 # HCR_EL2 bits (the subset the model uses; values follow the ARM ARM).
@@ -95,9 +112,62 @@ def _filter_lr(cpu, name, value):
     return value
 
 
+def _run(ops, key, ctx=None, values=(), program=None):
+    """Run one register program; returns its plain reads' values.
+
+    *key* is the program itself, or a value naming it from which
+    ``program(key)`` builds the steps.  At real EL2 the CPU runs the
+    compiled block for (``ops.vhe``, *key*); otherwise, or when the
+    compiler rejects the block, every step runs per access.  *ctx* is
+    the vcpu struct of the save/restore steps; *values* feed the writes.
+    """
+    cpu = ops.cpu
+    if cpu.block_eligible():
+        block = cpu.register_block((ops.vhe, key),
+                                   lambda: _steps(ops, key, program))
+        if block is not None:
+            return cpu.run_block(block, ctx, values)
+    return _per_access(cpu, _steps(ops, key, program), ctx, values)
+
+
+def _steps(ops, key, program):
+    """A program's steps as ``(register, encoding, op)``, resolved for
+    this hypervisor flavour exactly as its accessors would issue them."""
+    return tuple(ops.alias(name, accessor) + (op,)
+                 for name, accessor, op in (key if program is None
+                                            else program(key)))
+
+
+def _per_access(cpu, steps, ctx, values):
+    """The reference path: one ``mrs``/``msr`` (and vcpu-struct load or
+    store) per step, in program order."""
+    out = []
+    values = iter(values)
+    for name, enc, op in steps:
+        if op == READ:
+            out.append(cpu.mrs(name, enc))
+        elif op == WRITE:
+            cpu.msr(name, next(values), enc)
+        elif op == SAVE:
+            ctx.save(name, cpu.mrs(name, enc))
+        else:
+            cpu.msr(name, ctx.load(name), enc)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # EL1/EL0 context
 # ---------------------------------------------------------------------------
+
+def _el1_program(key):
+    """save/restore_el1_state's program for ``(op, EL1_STATE,
+    DEBUG_STATE, EL0_STATE)``.  EL0 user state has no ``*_EL02`` aliases
+    (only the timers are E2H-redirected); both hypervisor flavours use
+    the plain EL0 encodings, which never trap from virtual EL2."""
+    op, el1_state, debug_state, el0_state = key
+    return (tuple((name, "vm", op) for name in el1_state + debug_state)
+            + tuple((name, "raw", op) for name in el0_state))
+
 
 def save_el1_state(ops, ctx):
     """Read the loaded VM EL1/EL0 context into a vcpu struct.
@@ -108,28 +178,37 @@ def save_el1_state(ops, ctx):
     by NEVE (Table 3).
     """
     with cpu_span(ops.cpu, "ws.save_el1_state"):
-        for name in EL1_STATE + DEBUG_STATE:
-            ctx.save(name, ops.read_vm(name))
-        for name in EL0_STATE:
-            # EL0 user state has no *_EL02 aliases (only the timers are
-            # E2H-redirected); both hypervisor flavours use the plain EL0
-            # encodings, which never trap from virtual EL2.
-            ctx.save(name, ops.cpu.mrs(name))
+        _run(ops, (SAVE, EL1_STATE, DEBUG_STATE, EL0_STATE), ctx,
+             program=_el1_program)
     fault_point(ops.cpu, "ws.after-save")
 
 
 def restore_el1_state(ops, ctx):
     fault_point(ops.cpu, "ws.before-restore")
     with cpu_span(ops.cpu, "ws.restore_el1_state"):
-        for name in EL1_STATE + DEBUG_STATE:
-            ops.write_vm(name, ctx.load(name))
-        for name in EL0_STATE:
-            ops.cpu.msr(name, ctx.load(name))
+        _run(ops, (RESTORE, EL1_STATE, DEBUG_STATE, EL0_STATE), ctx,
+             program=_el1_program)
 
 
 # ---------------------------------------------------------------------------
 # Exception context and returns
 # ---------------------------------------------------------------------------
+
+#: The exception context read on every hypervisor entry, keyed as
+#: read_exit_context returns it.
+_EXIT_CONTEXT = (
+    ("ESR_EL2", "hyp", READ),
+    ("ELR_EL2", "hyp", READ),
+    ("SPSR_EL2", "hyp", READ),
+    ("TPIDR_EL2", "raw", READ),  # per-cpu pointer
+    ("HCR_EL2", "raw", READ),  # pending-vSError check
+)
+_ABORT_CONTEXT = _EXIT_CONTEXT + (
+    ("FAR_EL2", "hyp", READ),
+    ("HPFAR_EL2", "hyp", READ),
+)
+_EXIT_CONTEXT_KEYS = ("esr", "elr", "spsr", "percpu", "hcr", "far", "hpfar")
+
 
 def read_exit_context(ops, is_abort=False):
     """Read the exception syndrome on hypervisor entry.
@@ -140,17 +219,8 @@ def read_exit_context(ops, is_abort=False):
     are also read on every entry; under NEVE both are deferred.
     """
     with cpu_span(ops.cpu, "ws.read_exit_context", is_abort=is_abort):
-        exit_ctx = {
-            "esr": ops.read_hyp("ESR_EL2"),
-            "elr": ops.read_hyp("ELR_EL2"),
-            "spsr": ops.read_hyp("SPSR_EL2"),
-            "percpu": ops.cpu.mrs("TPIDR_EL2"),
-            "hcr": ops.cpu.mrs("HCR_EL2"),
-        }
-        if is_abort:
-            exit_ctx["far"] = ops.read_hyp("FAR_EL2")
-            exit_ctx["hpfar"] = ops.read_hyp("HPFAR_EL2")
-        return exit_ctx
+        values = _run(ops, _ABORT_CONTEXT if is_abort else _EXIT_CONTEXT)
+        return dict(zip(_EXIT_CONTEXT_KEYS, values))
 
 
 def prepare_exception_return(ops, elr, spsr):
@@ -165,34 +235,55 @@ def prepare_exception_return(ops, elr, spsr):
 # Trap configuration
 # ---------------------------------------------------------------------------
 
+#: KVM's __activate_traps + __activate_vm; the writes' values are
+#: listed where activate_traps supplies them.
+_ACTIVATE_TRAPS = (
+    ("HCR_EL2", "raw", READ),  # read-modify-write of the VSE/VI bits
+    ("HCR_EL2", "hyp", WRITE),
+    ("CPTR_EL2", "hyp", WRITE),
+    ("MDCR_EL2", "hyp", WRITE),
+    ("HSTR_EL2", "hyp", WRITE),
+    ("VTTBR_EL2", "hyp", WRITE),
+    ("VTCR_EL2", "hyp", WRITE),
+    ("VMPIDR_EL2", "raw", WRITE),
+    ("VPIDR_EL2", "raw", WRITE),
+    ("TPIDR_EL2", "raw", WRITE),
+)
+
+_DEACTIVATE_TRAPS = (
+    ("HCR_EL2", "raw", READ),
+    ("VTTBR_EL2", "raw", READ),  # which VM was loaded (vmid bookkeeping)
+    ("HCR_EL2", "hyp", WRITE),
+    ("CPTR_EL2", "hyp", WRITE),
+    ("MDCR_EL2", "hyp", WRITE),
+    ("VTTBR_EL2", "hyp", WRITE),
+)
+
+
 def activate_traps(ops, vhe, vttbr, guest_hcr=HCR_GUEST_FLAGS):
     """Configure the hardware to run a VM (KVM's __activate_traps +
     __activate_vm): trap controls, stage-2 base, virtual CPU identity and
     the per-vcpu pointer."""
     with cpu_span(ops.cpu, "ws.activate_traps"):
-        ops.cpu.mrs("HCR_EL2")  # read-modify-write of the VSE/VI bits
-        ops.write_hyp("HCR_EL2", guest_hcr)
-        ops.write_hyp("CPTR_EL2", 1)  # trap FP/SIMD until first use
-        ops.write_hyp("MDCR_EL2", 1)  # trap debug
-        ops.write_hyp("HSTR_EL2", 0)
-        ops.write_hyp("VTTBR_EL2", vttbr)
-        ops.write_hyp("VTCR_EL2", 1)
-        ops.cpu.msr("VMPIDR_EL2", 0x8000_0000)  # virtual MPIDR for the vcpu
-        ops.cpu.msr("VPIDR_EL2", 0x410F_D070)
-        ops.cpu.msr("TPIDR_EL2", 0x1000)  # per-vcpu context pointer
+        _run(ops, _ACTIVATE_TRAPS, values=(
+            guest_hcr,
+            1,  # CPTR_EL2: trap FP/SIMD until first use
+            1,  # MDCR_EL2: trap debug
+            0,  # HSTR_EL2
+            vttbr,
+            1,  # VTCR_EL2
+            0x8000_0000,  # VMPIDR_EL2: virtual MPIDR for the vcpu
+            0x410F_D070,  # VPIDR_EL2
+            0x1000,  # TPIDR_EL2: per-vcpu context pointer
+        ))
         ops.cpu.barrier()
 
 
 def deactivate_traps(ops, vhe, host_hcr=HCR_HOST_FLAGS):
     """Undo trap configuration on the way back to the host."""
     with cpu_span(ops.cpu, "ws.deactivate_traps"):
-        ops.cpu.mrs("HCR_EL2")
-        ops.cpu.mrs("VTTBR_EL2")  # which VM was loaded (vmid bookkeeping)
         hcr = host_hcr | (HCR_E2H if vhe else 0)
-        ops.write_hyp("HCR_EL2", hcr)
-        ops.write_hyp("CPTR_EL2", 0)
-        ops.write_hyp("MDCR_EL2", 0)
-        ops.write_hyp("VTTBR_EL2", 0)
+        _run(ops, _DEACTIVATE_TRAPS, values=(hcr, 0, 0, 0))
         ops.cpu.barrier()
 
 
@@ -321,6 +412,28 @@ def vgic_restore_mmio(cpu, ctx, used_lrs):
 # Timers
 # ---------------------------------------------------------------------------
 
+_TIMER_SAVE = (
+    ("CNTV_CTL_EL0", "vm_el0", SAVE),
+    ("CNTV_CVAL_EL0", "vm_el0", SAVE),
+    ("CNTV_CTL_EL0", "vm_el0", WRITE),  # 0: mask while the VM is out
+    ("CNTHCTL_EL2", "raw", READ),  # read-modify-write (cached copy: free)
+    ("CNTHCTL_EL2", "hyp", WRITE),  # 3: host EL1 counter/timer access on
+)
+#: The VHE hypervisor also runs its own EL2 virtual timer, reached
+#: through the EL0 encodings thanks to E2H redirection: no trap.
+_TIMER_SAVE_VHE = _TIMER_SAVE + (("CNTV_CTL_EL0", "raw", READ),)
+
+_TIMER_RESTORE = (
+    ("CNTVOFF_EL2", "raw", READ),  # compare against the VM's offset
+    ("CNTVOFF_EL2", "hyp", WRITE),  # 0x1000
+    ("CNTHCTL_EL2", "raw", READ),
+    ("CNTHCTL_EL2", "hyp", WRITE),  # 0: guest traps EL1 physical timer
+    ("CNTV_CVAL_EL0", "vm_el0", RESTORE),
+    ("CNTV_CTL_EL0", "vm_el0", RESTORE),
+)
+_TIMER_RESTORE_VHE = _TIMER_RESTORE + (("CNTV_CTL_EL0", "raw", WRITE),)
+
+
 def timer_save(ops, ctx, vhe):
     """Save the VM's EL1 virtual timer and give the host the hardware.
 
@@ -329,27 +442,16 @@ def timer_save(ops, ctx, vhe):
     virtual EL2, even with NEVE (Section 7.1).
     """
     with cpu_span(ops.cpu, "ws.timer_save"):
-        ctx.save("CNTV_CTL_EL0", ops.read_vm_el0("CNTV_CTL_EL0"))
-        ctx.save("CNTV_CVAL_EL0", ops.read_vm_el0("CNTV_CVAL_EL0"))
-        ops.write_vm_el0("CNTV_CTL_EL0", 0)  # mask while the VM is out
-        ops.cpu.mrs("CNTHCTL_EL2")  # read-modify-write (cached copy: free)
-        ops.write_hyp("CNTHCTL_EL2", 3)  # host: EL1 counter/timer access on
-        if vhe:
-            # The VHE hypervisor also runs its own EL2 virtual timer, reached
-            # through the EL0 encodings thanks to E2H redirection: no trap.
-            ops.cpu.mrs("CNTV_CTL_EL0")
+        _run(ops, _TIMER_SAVE_VHE if vhe else _TIMER_SAVE, ctx,
+             values=(0, 3))
 
 
 def timer_restore(ops, ctx, vhe):
     with cpu_span(ops.cpu, "ws.timer_restore"):
-        ops.cpu.mrs("CNTVOFF_EL2")  # compare against the VM's offset
-        ops.write_hyp("CNTVOFF_EL2", 0x1000)
-        ops.cpu.mrs("CNTHCTL_EL2")
-        ops.write_hyp("CNTHCTL_EL2", 0)  # guest: trap EL1 physical timer
-        ops.write_vm_el0("CNTV_CVAL_EL0", ctx.load("CNTV_CVAL_EL0"))
-        ops.write_vm_el0("CNTV_CTL_EL0", ctx.load("CNTV_CTL_EL0"))
         if vhe:
-            ops.cpu.msr("CNTV_CTL_EL0", 1)
+            _run(ops, _TIMER_RESTORE_VHE, ctx, values=(0x1000, 0, 1))
+        else:
+            _run(ops, _TIMER_RESTORE, ctx, values=(0x1000, 0))
 
 
 # ---------------------------------------------------------------------------

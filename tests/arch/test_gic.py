@@ -93,6 +93,42 @@ def test_used_lr_count(gic_cpu):
     assert gic.used_lr_count(cpu) == 2
 
 
+def _decoded_status(values, uie):
+    """The status registers from decoded list registers (the reference
+    for sync_status' bit tests on the raw values)."""
+    elrsr = eisr = 0
+    for index, value in enumerate(values):
+        lr = ListRegister.decode(value)
+        if lr.state is LrState.INVALID:
+            elrsr |= 1 << index
+            if lr.vintid and not lr.hw:
+                eisr |= 1 << index
+    used = sum(ListRegister.decode(value).state is not LrState.INVALID
+               for value in values)
+    return elrsr, eisr, int(uie and used == 0), used
+
+
+def test_status_bit_tests_match_decoded_list_registers(gic_cpu):
+    gic, cpu = gic_cpu
+    lrs = [ListRegister(vintid=vintid, state=state, hw=hw, pintid=3)
+           for state in LrState for hw in (False, True)
+           for vintid in (0, 27)]
+    # Every LR in every slot, including an all-invalid bank.
+    banks = [[lr.encode() for lr in lrs[start:start + 4]]
+             for start in range(0, len(lrs), 4)]
+    banks.append([0, 0, 0, 0])
+    for uie in (False, True):
+        cpu.el2_regs.write("ICH_HCR_EL2", 0x2 if uie else 0)
+        for bank in banks:
+            cpu.el2_regs.write_many([lr_name(i) for i in range(4)], bank)
+            gic.sync_status(cpu)
+            got = (cpu.el2_regs.read("ICH_ELRSR_EL2"),
+                   cpu.el2_regs.read("ICH_EISR_EL2"),
+                   cpu.el2_regs.read("ICH_MISR_EL2"),
+                   gic.used_lr_count(cpu))
+            assert got == _decoded_status(bank, uie), bank
+
+
 # ---------------------------------------------------------------------------
 # Virtual CPU interface (the trap-free VM side)
 # ---------------------------------------------------------------------------

@@ -34,6 +34,21 @@ def test_vmids_are_unique(machine):
     assert a.vmid != b.vmid
 
 
+def test_vmids_are_per_machine():
+    """A VM's id, and the VTTBR_EL2 value L0 programs from it, must not
+    depend on how many VMs earlier machines in the process created."""
+    first = Machine(arch=ARMV8_3)
+    first_vm = first.kvm.create_vm()
+    first.kvm.create_vm()
+    second = Machine(arch=ARMV8_3)
+    second_vm = second.kvm.create_vm()
+    assert first_vm.vmid == second_vm.vmid == 1
+    first.kvm.run_vcpu(first_vm.vcpus[0])
+    second.kvm.run_vcpu(second_vm.vcpus[0])
+    assert (first.cpu(0).el2_regs.read("VTTBR_EL2")
+            == second.cpu(0).el2_regs.read("VTTBR_EL2"))
+
+
 def test_cannot_overcommit_pinned_vcpus(machine):
     with pytest.raises(ValueError):
         machine.kvm.create_vm(num_vcpus=5)
