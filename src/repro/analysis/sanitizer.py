@@ -292,42 +292,38 @@ def _metrics_scenario(mode, hypercalls, attach_metrics):
 
 def check_metrics_reconcile(machine, metrics, report=None):
     """``san-metrics-reconcile``: the registry mirrors must agree with
-    the legacy counters they were migrated from — ``TrapCounter.total``
-    equals the trap counter family's sum (and per reason), and
-    ``CycleLedger.total`` equals the cycle counter family's sum (and per
-    category).  Only meaningful when *metrics* was attached before the
+    the counters they are pulled from (the pull's baseline and dedupe
+    logic) — ``TrapCounter.total`` equals the trap family's sum (and
+    per reason), ``CycleLedger.total`` the cycle family's (and per
+    category).  Reads without creating series; a missing family is a
+    violation.  Only meaningful when *metrics* was attached before the
     machine did any work.
     """
     if report is None:
         report = SanitizerReport()
     registry = metrics.registry
-    traps = registry.get("repro_traps_total")
-    report.record(
-        traps is not None and traps.total() == machine.traps.total,
-        "san-metrics-reconcile",
-        "trap mirror diverged: TrapCounter.total=%d, registry sum=%s"
-        % (machine.traps.total,
-           traps.total() if traps is not None else None))
-    for reason, count in sorted(machine.traps.by_reason.items(),
-                                key=lambda item: item[0].value):
-        mirrored = traps.labels(metrics.config, reason).value
+    for name, total, counts in (
+            ("repro_traps_total", machine.traps.total,
+             {key.value: n for key, n in machine.traps.by_reason.items()}),
+            ("repro_cycles_total", machine.ledger.total,
+             machine.ledger.by_category)):
+        family = registry.get(name)
+        if family is None:
+            report.record(False, "san-metrics-reconcile",
+                          "mirror family %s is missing" % name)
+            continue
+        mirrored = {child.label_values[1]: child.value
+                    for child in family.children()
+                    if child.label_values[0] == metrics.config}
         report.record(
-            mirrored == count, "san-metrics-reconcile",
-            "trap mirror diverged for %s: counter=%d, registry=%d"
-            % (reason.value, count, mirrored))
-    cycles = registry.get("repro_cycles_total")
-    report.record(
-        cycles is not None and cycles.total() == machine.ledger.total,
-        "san-metrics-reconcile",
-        "cycle mirror diverged: ledger.total=%d, registry sum=%s"
-        % (machine.ledger.total,
-           cycles.total() if cycles is not None else None))
-    for category, count in sorted(machine.ledger.by_category.items()):
-        mirrored = cycles.labels(metrics.config, category).value
-        report.record(
-            mirrored == count, "san-metrics-reconcile",
-            "cycle mirror diverged for %s: ledger=%d, registry=%d"
-            % (category, count, mirrored))
+            family.total() == total, "san-metrics-reconcile",
+            "%s diverged: counter total=%d, registry sum=%d"
+            % (name, total, family.total()))
+        for key, count in sorted(counts.items()):
+            report.record(
+                mirrored.get(key) == count, "san-metrics-reconcile",
+                "%s diverged for %s: counter=%d, registry=%s"
+                % (name, key, count, mirrored.get(key)))
     return report
 
 

@@ -27,8 +27,10 @@ Everything is virtual-cycle timestamped; two runs of the same tree
 produce byte-identical files (modulo the sequence number — and the
 optional ``host`` section below, which records nondeterministic host
 wall-clock time and therefore never participates in the
-trajectory/golden byte-diffs; ``diff_payloads`` and the "unchanged"
-check compare ``results`` only).
+trajectory/golden byte-diffs).  ``diff_payloads`` compares ``results``
+within tolerance; when the ``results`` equal the last trajectory entry,
+its ``metrics`` must be equal too, or the run fails naming the first
+differing family (``--force`` records the point instead).
 
 ``--compare-fastpath`` runs the sweep twice — dispatch fast path
 disabled (the reference) and enabled — demands the ``results`` and
@@ -202,6 +204,20 @@ def diff_payloads(previous, current):
     return regressions
 
 
+def first_metrics_difference(previous, current):
+    """The first metric family, in name order, whose export differs
+    between two bench payloads (``"virtual_cycles"`` when only the
+    timestamp does); None when their ``metrics`` are equal."""
+    if previous.get("metrics") == current.get("metrics"):
+        return None
+    before, after = ((payload.get("metrics") or {}).get("metrics", {})
+                     for payload in (previous, current))
+    for name in sorted(set(before) | set(after)):
+        if before.get(name) != after.get(name):
+            return name
+    return "virtual_cycles"
+
+
 def check_golden_payload(payload):
     """Check the payload's cells against the goldens directly.  Returns
     ``(golden, measured)`` failures for every golden the payload covers."""
@@ -354,6 +370,12 @@ def main(argv=None, arm_costs=None, x86_costs=None):
                   % (config, benchmark, metric, last_path.name,
                      before, after, tol))
         unchanged = previous.get("results") == payload["results"]
+        drifted = unchanged and first_metrics_difference(previous, payload)
+        if drifted and not force:
+            failed = True
+            print("bench: METRICS DRIFT %s differs from %s with identical "
+                  "results (--force records it as a new point)"
+                  % (drifted, last_path.name))
     else:
         last_sequence, previous, unchanged = 0, None, False
 

@@ -46,23 +46,19 @@ class ExitReason(enum.Enum):
 class TrapCounter:
     """Counts traps to the host hypervisor, by :class:`ExitReason`.
 
-    ``sink``, when set, is called as ``sink(reason)`` after every record —
-    the hook :class:`repro.metrics.instrument.MachineMetrics` uses to
-    mirror the counter into the registry.  The sink must never charge the
-    cycle ledger.
+    :class:`repro.metrics.instrument.MachineMetrics` mirrors
+    ``by_reason`` into the registry by reading it when the registry is
+    read; recording a trap calls nothing.
     """
 
     total: int = 0
     by_reason: dict = field(default_factory=dict)
-    sink: object = field(default=None, repr=False, compare=False)
 
     def record(self, reason):
         if not isinstance(reason, ExitReason):
             raise TypeError("reason must be an ExitReason, got %r" % (reason,))
         self.total += 1
         self.by_reason[reason] = self.by_reason.get(reason, 0) + 1
-        if self.sink is not None:
-            self.sink(reason)
 
     def count(self, reason):
         return self.by_reason.get(reason, 0)
@@ -107,13 +103,12 @@ class RecoveryEvent(enum.Enum):
 class RecoveryCounter:
     """Counts recovery actions, by :class:`RecoveryEvent`.
 
-    ``sink`` mirrors :class:`TrapCounter`'s: called as ``sink(event)``
-    after every record, must never charge the ledger.
+    Mirrored into the registry like :class:`TrapCounter`: ``by_event``
+    is read when the registry is read.
     """
 
     total: int = 0
     by_event: dict = field(default_factory=dict)
-    sink: object = field(default=None, repr=False, compare=False)
 
     def record(self, event):
         if not isinstance(event, RecoveryEvent):
@@ -121,8 +116,6 @@ class RecoveryCounter:
                             % (event,))
         self.total += 1
         self.by_event[event] = self.by_event.get(event, 0) + 1
-        if self.sink is not None:
-            self.sink(event)
 
     def count(self, event):
         return self.by_event.get(event, 0)

@@ -84,87 +84,25 @@ class CycleLedger:
     ``"emulation"``, ``"guest"``; the totals drive Tables 1 and 6 while the
     breakdown feeds the analysis sections of EXPERIMENTS.md.
 
-    ``observer``, when set, is called as ``observer(cycles, category)``
-    on every charge — this is the single attribution point the tracer
-    (:mod:`repro.trace`) hooks so per-span cycles reconcile exactly
-    against ``total``.  The observer must never charge the ledger.
+    Telemetry reads the ledger instead of being called by it: the
+    tracer (:mod:`repro.trace`) attributes a span's cycles from
+    ``total`` at its boundaries, and the metrics registry
+    (:mod:`repro.metrics.instrument`) pulls ``by_category`` into
+    ``repro_cycles_total`` whenever the registry is read.  ``charge``
+    therefore only adds, apart from the profiler's sink below.
 
-    ``metrics_sink`` is a second, independent hook with the same
-    signature, reserved for the telemetry registry
-    (:mod:`repro.metrics.instrument`) so metrics and the tracer can ride
-    the same run without fighting over the ``observer`` slot.  Like the
-    observer, it must never charge the ledger.
-
-    ``profile_sink`` is the third slot, reserved for the host profiler's
-    redundancy observatory (:mod:`repro.profile`): it measures this very
-    fan-out — how many consumer calls each charge dispatch pays — so it
-    rides last and is excluded from its own fan-out count.  Same
-    contract: observe-only, never charges (enforced by
-    ``san-profile-zero-cycles``).
-
-    The three slots are property-backed: assigning one rebuilds a single
-    **fused** callback, so ``charge`` pays one ``is None`` check and at
-    most one call when at most one consumer is attached, instead of
-    three checks per charge.  With N consumers the fused chain calls
-    them in slot order (observer, metrics_sink, profile_sink) — exactly
-    the order the unfused dispatch used.
+    ``profile_sink``, when set, is called as ``profile_sink(cycles,
+    category)`` on every charge.  It is the host profiler's redundancy
+    observatory (:mod:`repro.profile`); it must never charge the ledger
+    (enforced by ``san-profile-zero-cycles``).
     """
 
-    __slots__ = ("total", "by_category", "_observer", "_metrics_sink",
-                 "_profile_sink", "_fused")
+    __slots__ = ("total", "by_category", "profile_sink")
 
     def __init__(self, total=0, by_category=None):
         self.total = total
         self.by_category = {} if by_category is None else by_category
-        self._observer = None
-        self._metrics_sink = None
-        self._profile_sink = None
-        self._fused = None
-
-    # -- the fused hook chain -------------------------------------------
-
-    @property
-    def observer(self):
-        return self._observer
-
-    @observer.setter
-    def observer(self, hook):
-        self._observer = hook
-        self._rebuild_fused()
-
-    @property
-    def metrics_sink(self):
-        return self._metrics_sink
-
-    @metrics_sink.setter
-    def metrics_sink(self, hook):
-        self._metrics_sink = hook
-        self._rebuild_fused()
-
-    @property
-    def profile_sink(self):
-        return self._profile_sink
-
-    @profile_sink.setter
-    def profile_sink(self, hook):
-        self._profile_sink = hook
-        self._rebuild_fused()
-
-    def _rebuild_fused(self):
-        hooks = tuple(hook for hook in (self._observer, self._metrics_sink,
-                                        self._profile_sink)
-                      if hook is not None)
-        if not hooks:
-            self._fused = None
-        elif len(hooks) == 1:
-            # The common case (a tracer OR a metrics facade): the fused
-            # callback is the consumer itself, no wrapper frame.
-            self._fused = hooks[0]
-        else:
-            def _fused_chain(cycles, category, _hooks=hooks):
-                for hook in _hooks:
-                    hook(cycles, category)
-            self._fused = _fused_chain
+        self.profile_sink = None
 
     def charge(self, cycles, category="other"):
         """Add *cycles* to the ledger under *category*."""
@@ -172,11 +110,10 @@ class CycleLedger:
             raise ValueError("cannot charge negative cycles: %r" % cycles)
         self.total += cycles
         self.by_category[category] = self.by_category.get(category, 0) + cycles
-        fused = self._fused
-        if fused is not None:
-            fused(cycles, category)
+        if self.profile_sink is not None:
+            self.profile_sink(cycles, category)
 
-    # -- value semantics (the old dataclass's eq/repr, hooks excluded) --
+    # -- value semantics (the old dataclass's eq/repr, the sink excluded) --
 
     def __eq__(self, other):
         if not isinstance(other, CycleLedger):

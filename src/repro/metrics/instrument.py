@@ -1,47 +1,26 @@
 """Wiring between the simulation's hot layers and the telemetry registry.
 
 :class:`MachineMetrics` owns the metric families for one machine (one
-``config`` label value) and attaches itself to the three legacy counting
-islands without changing their APIs:
+``config`` label value) and reaches the simulation two ways:
 
-* :class:`~repro.metrics.cycles.CycleLedger` — via the ``metrics_sink``
-  hook (the ``observer`` slot stays reserved for the tracer);
-* :class:`~repro.metrics.counters.TrapCounter` and
-  :class:`~repro.metrics.counters.RecoveryCounter` — via their ``sink``
-  hooks, so ``TrapCounter.total`` always equals the registry counter sum
-  (the migration-parity invariant ``san-metrics-reconcile`` checks);
-* the hot code paths — via a ``cpu.metrics`` / ``machine.metrics``
-  attribute that defaults to ``None``; every instrumentation site gates
-  on a plain ``is None`` check, exactly like the tracer's ``cpu.tracer``,
-  so the disabled path adds zero simulated cycles.
+* **Pulled mirrors.**  ``repro_cycles_total``, ``repro_traps_total`` and
+  ``repro_recoveries_total`` copy the ledger's ``by_category``,
+  ``TrapCounter.by_reason`` and ``RecoveryCounter.by_event``: attaching
+  registers those dicts with the families, and every registry read
+  folds in what moved since attach (``san-metrics-reconcile`` checks
+  it).  A charge or a trap calls nothing.
+* **Push sites** for what the counters do not keep (phase and trap
+  histograms, the deferred-access counter, gauges), reached through a
+  ``cpu.metrics`` / ``machine.metrics`` attribute that defaults to
+  ``None``.  Every site gates on a plain ``is None`` check, like the
+  tracer's ``cpu.tracer``, so the disabled path adds zero cycles.
 
-Everything here only *reads* the ledger (for histogram spans and the
-virtual-cycle clock); nothing ever charges it — enforced by
-``san-metrics-ledger``.
+Everything here only *reads* the ledger; nothing ever charges it —
+enforced by ``san-metrics-ledger``.
 """
 
 from repro.metrics.registry import MetricsRegistry
-
-
-class _PhaseTimer:
-    """Context manager observing one phase's ledger delta into a
-    histogram child.  Cycles are read from the shared ledger — never
-    charged — so timing a phase is free in simulated time."""
-
-    __slots__ = ("ledger", "child", "mark")
-
-    def __init__(self, ledger, child):
-        self.ledger = ledger
-        self.child = child
-        self.mark = 0
-
-    def __enter__(self):
-        self.mark = self.ledger.total
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.child.observe(self.ledger.total - self.mark)
-        return False
+from repro.trace.spans import Phase
 
 
 class MachineMetrics:
@@ -51,6 +30,9 @@ class MachineMetrics:
     pipeline gives every config its own ``MachineMetrics`` over a single
     registry); re-registration is idempotent because every instance asks
     for the same family schemas.
+
+    The mirror families hold the attached counting dicts, never the
+    machine, so a machine can be dropped while the registry lives on.
     """
 
     def __init__(self, registry=None, config="default"):
@@ -126,56 +108,50 @@ class MachineMetrics:
 
     # -- attachment ------------------------------------------------------
 
+    def _sources(self, owner):
+        """(family, counting dict) for each mirror *owner* feeds."""
+        pairs = [(self.cycles, owner.ledger.by_category),
+                 (self.traps, owner.traps.by_reason)]
+        recoveries = getattr(owner, "recoveries", None)
+        if recoveries is not None:
+            pairs.append((self.recoveries, recoveries.by_event))
+        return pairs
+
     def attach_cpu(self, cpu):
-        """Hook one cpu (and its shared ledger/trap counter)."""
+        """Hook one cpu (and mirror its ledger and trap counter, which
+        a machine's cpus share: attaching twice counts once)."""
         cpu.metrics = self
-        cpu.ledger.metrics_sink = self._on_charge
-        cpu.traps.sink = self._on_trap
+        for family, source in self._sources(cpu):
+            family.mirror(source, self.config)
         return self
 
     def attach_machine(self, machine):
-        """Hook a whole machine: ledger, trap/recovery counters, every
-        cpu.  Attach before running a workload if you want the registry
-        mirrors to reconcile exactly with the legacy counters."""
+        """Hook a whole machine: mirror its ledger and trap/recovery
+        counters from this point on, and set every cpu's ``metrics``.
+        Attach before running a workload if you want the registry
+        mirrors to equal the legacy counters."""
         machine.metrics = self
-        machine.ledger.metrics_sink = self._on_charge
-        machine.traps.sink = self._on_trap
-        recoveries = getattr(machine, "recoveries", None)
-        if recoveries is not None:
-            recoveries.sink = self._on_recovery
+        for family, source in self._sources(machine):
+            family.mirror(source, self.config)
         for cpu in machine.cpus:
             cpu.metrics = self
         return self
 
     def detach_machine(self, machine):
-        """Undo :meth:`attach_machine` (registry contents survive)."""
+        """Undo :meth:`attach_machine`: the mirrors keep what moved
+        until now (registry contents survive) and stop reading."""
         machine.metrics = None
-        machine.ledger.metrics_sink = None
-        machine.traps.sink = None
-        recoveries = getattr(machine, "recoveries", None)
-        if recoveries is not None:
-            recoveries.sink = None
+        for family, source in self._sources(machine):
+            family.unmirror(source)
         for cpu in machine.cpus:
             cpu.metrics = None
 
-    # -- sinks (mirrors of the legacy counters) --------------------------
-
-    def _on_charge(self, cycles, category):
-        self.cycles.labels(self.config, category).inc(cycles)
-
-    def _on_trap(self, reason):
-        self.traps.labels(self.config, reason).inc()
-
-    def _on_recovery(self, event):
-        self.recoveries.labels(self.config, event).inc()
-
     # -- hot-path hooks (all gated by ``x.metrics is None`` at the site) -
 
-    def phase(self, cpu, name):
-        """A context manager observing the phase's ledger delta into
-        ``repro_phase_cycles`` (used by ``cpu_span``)."""
-        return _PhaseTimer(cpu.ledger,
-                           self.phase_cycles.labels(self.config, name))
+    def phase(self, name):
+        """The ``repro_phase_cycles`` child a ``cpu_span`` named *name*
+        observes its ledger delta into."""
+        return self.phase_cycles.labels(self.config, name)
 
     def trap_span(self, cpu, reason):
         """Timer for one trap round trip; labels carry the exception
@@ -184,8 +160,8 @@ class MachineMetrics:
             el = "vel2"
         else:
             el = str(getattr(cpu.current_el, "name", cpu.current_el)).lower()
-        child = self.trap_cycles.labels(self.config, reason, el)
-        return _PhaseTimer(cpu.ledger, child)
+        return Phase(cpu, None, self.trap_cycles.labels(self.config, reason,
+                                                       el))
 
     def count_deferred(self, register, is_write):
         self.vncr_deferred.labels(self.config, register,

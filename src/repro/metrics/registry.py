@@ -20,11 +20,11 @@ export.  The registry gives them one home with machine-readable exports:
   the Prometheus text exposition and the JSON snapshot are byte-identical
   across runs of the same seeded scenario.
 
-* **Cost.**  The registry only ever *reads* the ledger (through the
-  clock callable); it never charges it.  Instrumentation sites gate on a
-  plain ``is None`` attribute check, so the disabled path adds zero
-  simulated cycles — enforced by the ``san-metrics-ledger`` sanitizer
-  check (:func:`repro.analysis.sanitizer.check_metrics_ledger`).
+* **Cost.**  The registry only ever *reads* the ledger (the clock, and
+  counting dicts :meth:`Counter.mirror` folds in at read time); it
+  never charges it.  Sites gate on an ``is None`` check, so the
+  disabled path adds zero simulated cycles — enforced by
+  :func:`repro.analysis.sanitizer.check_metrics_ledger`.
 
 This module deliberately imports nothing from :mod:`repro` so the hot
 layers can use it without import cycles.
@@ -32,6 +32,7 @@ layers can use it without import cycles.
 
 import json
 import math
+from bisect import bisect_left
 
 
 def format_value(value):
@@ -124,9 +125,10 @@ class HistogramValue(_Child):
     def observe(self, value):
         self.sum += value
         self.count += 1
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[index] += 1
+        # Cumulative buckets: every bound >= value counts it.
+        counts = self.counts
+        for index in range(bisect_left(self.buckets, value), len(counts)):
+            counts[index] += 1
 
     def get(self):
         return {"sum": self.sum, "count": self.count,
@@ -153,9 +155,21 @@ class MetricFamily:
         for label in self.labelnames:
             _validate_name(label)
         self._children = {}  # label-values tuple -> child
+        self._mirrors = {}  # id(source dict) -> _Mirror (counters only)
 
     def _make_child(self, values):
         raise NotImplementedError
+
+    def _child(self, values):
+        child = self._children.get(values)
+        if child is None:
+            child = self._children[values] = self._make_child(values)
+        return child
+
+    def _pull(self):
+        """Fold the mirrored sources' movement in (every read does)."""
+        for mirror in self._mirrors.values():
+            mirror.pull(self)
 
     def labels(self, *values, **kwargs):
         """The child for one label-value combination (created on first
@@ -173,23 +187,24 @@ class MetricFamily:
             if kwargs:
                 raise ValueError("unknown label(s) %s for %s"
                                  % (sorted(kwargs), self.name))
-        values = tuple(_label_str(value) for value in values)
+        values = tuple(map(_label_str, values))
         if len(values) != len(self.labelnames):
             raise ValueError("%s takes %d label(s) %r, got %r"
                              % (self.name, len(self.labelnames),
                                 self.labelnames, values))
-        child = self._children.get(values)
-        if child is None:
-            child = self._make_child(values)
-            self._children[values] = child
-        return child
+        self._pull()
+        return self._child(values)
 
     def children(self):
         """Children sorted by label values — the deterministic order
         every exporter uses."""
+        self._pull()
         return [self._children[key] for key in sorted(self._children)]
 
     def reset(self):
+        """Drop every child; mirrored sources count only what moves
+        from now on."""
+        self._pull()
         self._children.clear()
 
     @property
@@ -205,7 +220,46 @@ class Counter(MetricFamily):
 
     def total(self):
         """Sum across all children (migration-parity checks)."""
+        self._pull()
         return sum(child.value for child in self._children.values())
+
+    def mirror(self, source, *prefix):
+        """Count *source*'s movement from now on, read when the family
+        is read.  *source* maps a key (the last label, after *prefix*)
+        to a running count, like a ledger's ``by_category``.  Mirroring
+        it again folds its movement and restarts it: never counted
+        twice."""
+        self.unmirror(source)
+        self._mirrors[id(source)] = _Mirror(source, prefix)
+
+    def unmirror(self, source):
+        """Fold *source*'s last movement and stop reading it."""
+        mirror = self._mirrors.pop(id(source), None)
+        if mirror is not None:
+            mirror.pull(self)
+
+
+class _Mirror:
+    """One counting dict read into a counter family: holds the dict and
+    what it last saw of it, never the object that owns it."""
+
+    __slots__ = ("source", "prefix", "seen")
+
+    def __init__(self, source, prefix):
+        self.source = source
+        self.prefix = tuple(_label_str(value) for value in prefix)
+        self.seen = dict(source)  # the baseline: earlier counts are not ours
+
+    def pull(self, family):
+        seen = self.seen
+        for key, count in self.source.items():
+            before = seen.get(key)
+            if before != count:
+                # A key new since the baseline gets its series even at
+                # 0: a zero-cycle charge to a new category is exported.
+                family._child(self.prefix + (_label_str(key),)).inc(
+                    count - (before or 0))
+                seen[key] = count
 
 
 class Gauge(MetricFamily):

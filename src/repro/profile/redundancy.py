@@ -147,15 +147,13 @@ class MachineRedundancy:
 
     def on_charge(self, cycles, category):
         """``CycleLedger.profile_sink``: one charge dispatch re-derives
-        the armed-consumer set and pays one call per consumer."""
+        the armed-consumer set and pays one call per consumer.  A
+        :class:`CycleLedger` has no push consumer, so on a real machine
+        every dispatch is ``none``."""
         ledger = self._ledger
         observatory = self.observatory
-        armed = []
-        if ledger is not None:
-            if ledger.observer is not None:
-                armed.append("observer")
-            if ledger.metrics_sink is not None:
-                armed.append("metrics_sink")
+        armed = [hook for hook in ("observer", "metrics_sink")
+                 if getattr(ledger, hook, None) is not None]
         mask = "+".join(armed) or "none"
         observatory.hook_chain.note((self.config, "ledger.charge", mask),
                                     mask)

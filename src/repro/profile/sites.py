@@ -59,14 +59,10 @@ SITE_RULES = (
     ("repro/x86/", None, "x86"),
     # -- hook-chain consumers: the observe-only fan-out the ledger and
     #    the trap path pay per event ------------------------------------
-    ("repro/trace/spans.py", "_on_charge", "hooks.tracer_observer"),
     ("repro/trace/spans.py", None, "hooks.tracer"),
-    ("repro/metrics/instrument.py", "_on_charge", "hooks.metrics_sink"),
-    ("repro/metrics/instrument.py", "_on_trap", "hooks.metrics_sink"),
     ("repro/metrics/instrument.py", None, "hooks.metrics"),
     ("repro/metrics/registry.py", None, "hooks.registry"),
     ("repro/metrics/counters.py", None, "hooks.counters"),
-    ("repro/metrics/cycles.py", "_fused_chain", "hooks.fused"),
     ("repro/metrics/cycles.py", "charge", "ledger.charge"),
     ("repro/metrics/cycles.py", None, "ledger.other"),
     ("repro/faults/points.py", None, "hooks.fault_injector"),

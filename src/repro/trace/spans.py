@@ -2,24 +2,24 @@
 
 Design constraints, in order:
 
-* **Exact reconciliation.**  The tracer installs itself as the
-  :class:`~repro.metrics.cycles.CycleLedger` observer, so every single
-  ``charge()`` is attributed to the innermost open span (its
-  ``self_cycles``).  The invariant — enforced by
+* **Exact reconciliation.**  Cycles are read off the
+  :class:`~repro.metrics.cycles.CycleLedger` total at span boundaries
+  (the ledger never calls the tracer).  Spans nest LIFO, so an ended
+  span's ``self_cycles`` is its extent minus its closed children's;
+  movement while no span is open is ``unattributed_cycles``.  The
+  invariant — enforced by
   :func:`repro.analysis.sanitizer.check_trace_reconciliation` — is::
 
       recorded + dropped + open + unattributed == ledger.total - base
 
-  and it holds *by construction*: cycles land in exactly one of the
-  four buckets, even when the bounded ring buffer evicts old spans
-  (their cycles move to ``dropped_cycles``) and even for charges made
-  outside any span (``unattributed_cycles``).
+  and it holds *by construction*, even when the bounded ring buffer
+  evicts old spans (their cycles move to ``dropped_cycles``).
 
 * **Near-zero-cost disabled path.**  Instrumentation sites check a
-  plain attribute (``cpu.tracer is None`` / ``ledger.observer is
-  None``) and fall through; :func:`cpu_span` returns a shared null
-  context manager.  The tracer itself never charges the ledger, so
-  tracing adds **zero** cycles to any benchmark, enabled or not.
+  plain attribute (``cpu.tracer is None``) and fall through;
+  :func:`cpu_span` returns a shared null context manager.  The tracer
+  itself never charges the ledger, so tracing adds **zero** cycles to
+  any benchmark, enabled or not.
 
 * **Determinism.**  Timestamps are virtual — the ledger total at the
   time of the event, relative to the attach point — and span ids are
@@ -62,14 +62,15 @@ class Span:
     action, or a synthetic root/iteration grouping.
 
     ``self_cycles`` counts only cycles charged while this span was the
-    *innermost* open span; the span's total extent is
+    *innermost* open span: fixed at its end as its extent
     ``end_cycle - start_cycle`` (which includes its children, because
-    timestamps are ledger totals).
+    timestamps are ledger totals) minus ``child_cycles``, the extents of
+    the children that closed inside it.
     """
 
     __slots__ = ("span_id", "parent_id", "name", "kind", "el", "cpu_id",
                  "reason", "detail", "start_cycle", "end_cycle",
-                 "self_cycles")
+                 "self_cycles", "child_cycles")
 
     def __init__(self, span_id, parent_id, name, kind, el, cpu_id,
                  reason, detail, start_cycle):
@@ -84,6 +85,7 @@ class Span:
         self.start_cycle = start_cycle
         self.end_cycle = start_cycle
         self.self_cycles = 0
+        self.child_cycles = 0
 
     @property
     def duration(self):
@@ -160,11 +162,11 @@ NULL_SPAN = _NullContext()
 
 
 class Tracer:
-    """Bounded-ring-buffer span recorder.
+    """Bounded-ring-buffer span recorder.  It reads the ledger total at
+    span boundaries and is never called by the ledger.
 
-    Attach to the shared machine ledger (and point the cpus' ``tracer``
-    attributes here) with :meth:`attach_machine`; detach — closing any
-    spans left open — with :meth:`stop`.
+    Attach to a machine's ledger and cpus with :meth:`attach_machine`;
+    detach — closing any spans left open — with :meth:`stop`.
     """
 
     def __init__(self, capacity=65536, instant_capacity=65536):
@@ -177,28 +179,31 @@ class Tracer:
         self.dropped_spans = 0
         self.dropped_cycles = 0
         self.dropped_instants = 0
-        self.unattributed_cycles = 0
         self.ledger = None
         self.base = 0
         self._stack = []
         self._next_id = 0
         self._attached = []  # objects whose .tracer we set
+        self._unattributed = 0  # closed idle intervals (no span open)
+        self._idle_since = 0  # start of the current one
+        self._stop_cycle = None  # now() at detach: attribution ends
 
     # -- attachment -------------------------------------------------
 
     def attach(self, ledger):
-        """Observe every charge on *ledger*; timestamps become the
-        ledger total relative to this point."""
+        """Attribute *ledger*'s movement from now on; timestamps become
+        the ledger total relative to this point."""
         if self.ledger is not None:
             raise RuntimeError("tracer already attached to a ledger")
         self.ledger = ledger
         self.base = ledger.total
-        ledger.observer = self._on_charge
         return self
 
     def detach(self):
-        if self.ledger is not None and self.ledger.observer == self._on_charge:
-            self.ledger.observer = None
+        """Stop attributing: ledger movement from here on lands in no
+        span and is not unattributed either."""
+        if self.ledger is not None and self._stop_cycle is None:
+            self._stop_cycle = self.now()
         for obj in self._attached:
             if getattr(obj, "tracer", None) is self:
                 obj.tracer = None
@@ -238,17 +243,26 @@ class Tracer:
             return 0
         return self.ledger.total - self.base
 
-    def _on_charge(self, cycles, category):
+    def _observed(self):
+        """now(), held where :meth:`detach` stopped attribution."""
+        return self.now() if self._stop_cycle is None else self._stop_cycle
+
+    @property
+    def unattributed_cycles(self):
+        """Ledger movement while no span was open."""
         if self._stack:
-            self._stack[-1].self_cycles += cycles
-        else:
-            self.unattributed_cycles += cycles
+            return self._unattributed
+        return self._unattributed + self._observed() - self._idle_since
 
     # -- span lifecycle ---------------------------------------------
 
     def begin(self, name, kind="span", cpu=None, el=None, reason=None,
               detail=None):
-        parent_id = self._stack[-1].span_id if self._stack else None
+        if self._stack:
+            parent_id = self._stack[-1].span_id
+        else:
+            parent_id = None
+            self._unattributed += self._observed() - self._idle_since
         if el is None and cpu is not None:
             el = getattr(cpu, "current_el", None)
         span = Span(
@@ -267,14 +281,21 @@ class Tracer:
         return span
 
     def end(self, span):
-        if span is None or span not in self._stack:
+        stack = self._stack
+        if span is None or span not in stack:
             return
-        # Defensive: also close any children left open (an exception
-        # unwound past their instrumentation) so attribution stays
-        # exact — their self_cycles are already counted.
-        while self._stack:
-            top = self._stack.pop()
-            top.end_cycle = self.now()
+        now, observed = self.now(), self._observed()
+        # Children left open (an exception unwound past them) close
+        # here too, each like a normal end.
+        while stack:
+            top = stack.pop()
+            top.end_cycle = now
+            extent = max(0, observed - top.start_cycle)
+            top.self_cycles = extent - top.child_cycles
+            if stack:
+                stack[-1].child_cycles += extent
+            else:
+                self._idle_since = observed
             self._record(top)
             if top is span:
                 return
@@ -352,7 +373,11 @@ class Tracer:
     def reconcile(self):
         """Check the cycle-exactness invariant against the ledger."""
         recorded = sum(span.self_cycles for span in self.buffer)
-        open_cycles = sum(span.self_cycles for span in self._stack)
+        stack = self._stack
+        open_cycles = 0
+        if stack:
+            open_cycles = (max(0, self._observed() - stack[0].start_cycle)
+                           - sum(span.child_cycles for span in stack))
         delta = 0 if self.ledger is None else self.ledger.total - self.base
         return TraceReconciliation(
             recorded_cycles=recorded,
@@ -372,42 +397,52 @@ class Tracer:
 # -- instrumentation helpers (hot-path, disabled-path friendly) -----
 
 
-class _PairedContext:
-    """Enters two context managers, exits them in reverse order (for a
-    phase observed by both the tracer and the metrics registry)."""
+class Phase:
+    """One ``cpu_span`` region: a span on *tracer* and/or the region's
+    ledger delta observed into the histogram *child* (either may be
+    None).  Neither charges the ledger."""
 
-    __slots__ = ("first", "second")
+    __slots__ = ("cpu", "tracer", "child", "name", "kind", "detail",
+                 "span", "mark")
 
-    def __init__(self, first, second):
-        self.first = first
-        self.second = second
+    def __init__(self, cpu, tracer, child, name=None, kind="phase",
+                 detail=None):
+        self.cpu = cpu
+        self.tracer = tracer
+        self.child = child
+        self.name = name
+        self.kind = kind
+        self.detail = detail
+        self.span = None
+        self.mark = 0
 
     def __enter__(self):
-        self.first.__enter__()
-        self.second.__enter__()
-        return self
+        if self.tracer is not None:
+            self.span = self.tracer.begin(self.name, kind=self.kind,
+                                          cpu=self.cpu, detail=self.detail)
+        if self.child is not None:
+            self.mark = self.cpu.ledger.total
+        return self.span
 
     def __exit__(self, exc_type, exc, tb):
-        self.second.__exit__(exc_type, exc, tb)
-        self.first.__exit__(exc_type, exc, tb)
+        if self.child is not None:
+            self.child.observe(self.cpu.ledger.total - self.mark)
+        if self.tracer is not None:
+            self.tracer.end(self.span)
         return False
 
 
 def cpu_span(cpu, name, kind="phase", **detail):
-    """Context manager opening a span on *cpu*'s tracer and/or a phase
-    timer on *cpu*'s metrics facade; a shared no-op when both are
+    """Context manager opening a span on *cpu*'s tracer and/or timing
+    the phase into *cpu*'s metrics facade; a shared no-op when both are
     disabled (the common case)."""
     tracer = getattr(cpu, "tracer", None)
     metrics = getattr(cpu, "metrics", None)
     if tracer is None and metrics is None:
         return NULL_SPAN
-    if metrics is None:
-        return tracer.span(name, kind=kind, cpu=cpu, detail=detail or None)
-    if tracer is None:
-        return metrics.phase(cpu, name)
-    return _PairedContext(
-        tracer.span(name, kind=kind, cpu=cpu, detail=detail or None),
-        metrics.phase(cpu, name))
+    return Phase(cpu, tracer,
+                 None if metrics is None else metrics.phase(name),
+                 name, kind, detail or None)
 
 
 def cpu_instant(cpu, name, kind="event", **detail):

@@ -74,10 +74,6 @@ class X86Machine:
     def device_read(self, addr):
         return self.device_values.get(addr, DEVICE_VALUE)
 
-    def reset_metrics(self):
-        self.ledger.reset()
-        self.traps.reset()
-
 
 class KvmX86:
     """The L0 x86 hypervisor."""

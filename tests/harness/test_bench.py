@@ -9,6 +9,7 @@ from repro.harness import bench
 from repro.harness.configs import ALL_CONFIGS
 from repro.harness.regression import GOLDENS
 from repro.metrics.cycles import ARM_COSTS
+from repro.metrics.instrument import MachineMetrics
 from repro.workloads.microbench import MICROBENCHMARKS
 
 #: A small but cross-platform slice of ALL_CONFIGS, to keep the pipeline
@@ -139,6 +140,29 @@ class TestMain:
         assert "cycles" in captured.out
         # A failing run must not poison the trajectory.
         assert not (tmp_path / "BENCH_2.json").exists()
+
+    def test_metrics_drift_with_same_results_fails(self, tmp_path, capsys,
+                                                   monkeypatch):
+        """Seeded case: an extra metric family leaves every result cell
+        alone but changes the export; the run must fail naming it."""
+        assert bench.main(self._args(tmp_path)) == 0
+        init = MachineMetrics.__init__
+
+        def with_extra_family(metrics, registry=None, config="default"):
+            init(metrics, registry, config)
+            metrics.registry.counter("repro_seeded_total", "seeded drift",
+                                     ("config",)).labels(config).inc()
+
+        monkeypatch.setattr(MachineMetrics, "__init__", with_extra_family)
+        capsys.readouterr()
+        assert bench.main(self._args(tmp_path)) == 1
+        out = capsys.readouterr().out
+        assert "METRICS DRIFT repro_seeded_total" in out
+        assert "unchanged" not in out
+        assert not (tmp_path / "BENCH_2.json").exists()
+        # --force records the intended export change as a new point.
+        assert bench.main(self._args(tmp_path) + ["--force"]) == 0
+        assert (tmp_path / "BENCH_2.json").exists()
 
     def test_unknown_config_rejected(self, tmp_path, capsys):
         assert bench.main(["--dir", str(tmp_path),

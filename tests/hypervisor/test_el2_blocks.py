@@ -27,6 +27,7 @@ from repro.faults.plan import FaultClass, FaultPlan, PlannedFault
 from repro.faults.points import FaultInjector
 from repro.hypervisor import world_switch as ws
 from repro.hypervisor.vcpu import VcpuStruct
+from repro.metrics.cycles import CycleLedger
 from repro.metrics.instrument import MachineMetrics
 from repro.metrics.registry import MetricsRegistry
 from repro.trace.export import chrome_trace_json
@@ -277,14 +278,27 @@ def test_each_sequence_matches_per_access_on_a_fresh_ledger(
     assert_parity(blocks, sequence_state(sequence, vhe))
 
 
+class RecordingLedger(CycleLedger):
+    """A ledger that also logs the category of every charge."""
+
+    __slots__ = ("categories",)
+
+    def __init__(self):
+        super().__init__()
+        self.categories = []
+
+    def charge(self, cycles, category="other"):
+        self.categories.append(category)
+        super().charge(cycles, category)
+
+
 def test_timer_restore_charges_sysreg_first():
     """Its first access is a sysreg read, though its vcpu-struct loads
     feed later writes: one summed charge per category, sysreg first."""
-    charges = []
-    cpu = Cpu(arch=ARMV8_3)
-    cpu.ledger.observer = lambda cycles, category: charges.append(category)
+    ledger = RecordingLedger()
+    cpu = Cpu(arch=ARMV8_3, ledger=ledger)
     ws.timer_restore(ws.make_ops(cpu, False), VcpuStruct(cpu), False)
-    assert charges == ["sysreg", "world_switch"]
+    assert ledger.categories == ["sysreg", "world_switch"]
 
 
 # ---------------------------------------------------------------------------

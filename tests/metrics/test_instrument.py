@@ -1,14 +1,18 @@
 """MachineMetrics: migration parity, zero added cycles, determinism."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.analysis.sanitizer import (check_metrics_ledger,
                                       check_metrics_reconcile,
                                       run_metrics_checks)
 from repro.harness.configs import ALL_CONFIGS, make_microbench
-from repro.metrics.counters import RecoveryCounter, RecoveryEvent
+from repro.metrics.counters import (ExitReason, RecoveryCounter,
+                                    RecoveryEvent, TrapCounter)
+from repro.metrics.cycles import CycleLedger
 from repro.metrics.instrument import MachineMetrics
-from repro.metrics.registry import MetricsRegistry
+from repro.metrics.registry import MetricsRegistry, _Mirror
 
 ARM_CONFIGS = sorted(name for name, config in ALL_CONFIGS.items()
                      if config.platform == "arm")
@@ -61,15 +65,60 @@ class TestMigrationParity:
         assert report.checks > 4
 
     def test_recovery_counter_sink(self):
+        """The recovery mirror reads the machine's RecoveryCounter when
+        the registry is read, counting only what moved since attach."""
         metrics = MachineMetrics(config="test")
         counter = RecoveryCounter()
-        counter.sink = metrics._on_recovery
+        counter.record(RecoveryEvent.REPLAY)  # before attach: not ours
+        machine = SimpleNamespace(ledger=CycleLedger(), traps=TrapCounter(),
+                                  recoveries=counter, cpus=[])
+        metrics.attach_machine(machine)
         counter.record(RecoveryEvent.VNCR_RESYNC)
         counter.record(RecoveryEvent.VNCR_RESYNC)
         counter.record(RecoveryEvent.REPLAY)
         family = metrics.registry.get("repro_recoveries_total")
-        assert family.total() == counter.total == 3
+        assert family.total() == counter.total - 1 == 3
         assert family.labels("test", RecoveryEvent.VNCR_RESYNC).value == 2
+        assert family.labels("test", RecoveryEvent.REPLAY).value == 1
+
+    def test_reconcile_catches_a_mirror_that_drops_a_reason(
+            self, monkeypatch):
+        """Seeded violation: a mirror that loses one exit reason fails
+        the check, and the check adds no series to the export."""
+        pull = _Mirror.pull
+
+        def lossy(mirror, family):
+            source = mirror.source
+            mirror.source = {key: count for key, count in source.items()
+                             if key is not ExitReason.ERET_TRAP}
+            try:
+                pull(mirror, family)
+            finally:
+                mirror.source = source
+
+        monkeypatch.setattr(_Mirror, "pull", lossy)
+        registry = MetricsRegistry()
+        machine = _run_suite("neve-nested", registry).machine
+        assert machine.traps.count(ExitReason.ERET_TRAP) > 0
+        before = registry.prometheus_text()
+        report = check_metrics_reconcile(machine, machine.metrics)
+        assert not report.passed
+        assert any("for eret" in violation.message
+                   for violation in report.violations)
+        assert registry.prometheus_text() == before
+        assert ('repro_traps_total{config="neve-nested",reason="eret"}'
+                not in before)
+
+    def test_reconcile_records_a_missing_family(self):
+        """A registry without the mirror families is two violations,
+        not an AttributeError."""
+        machine = _run_suite("neve-nested").machine
+        bare = SimpleNamespace(registry=MetricsRegistry(), config="x")
+        report = check_metrics_reconcile(machine, bare)
+        assert not report.passed
+        assert sorted(violation.message for violation in report.violations) \
+            == ["mirror family repro_cycles_total is missing",
+                "mirror family repro_traps_total is missing"]
 
 
 class TestZeroCost:
@@ -169,11 +218,15 @@ class TestHotLayerSignals:
         registry = MetricsRegistry()
         suite = _run_suite("neve-nested", registry)
         machine = suite.machine
+        machine.ledger.charge(7, "late")  # never read before the detach
         machine.metrics.detach_machine(machine)
         assert machine.metrics is None
-        assert machine.ledger.metrics_sink is None
-        assert machine.traps.sink is None
         assert all(cpu.metrics is None for cpu in machine.cpus)
-        before = registry.get("repro_cycles_total").total()
+        cycles = registry.get("repro_cycles_total")
+        traps = registry.get("repro_traps_total")
+        # Detaching folded the last movement, then stopped reading.
+        assert cycles.total() == machine.ledger.total
+        assert traps.total() == machine.traps.total
+        before = (cycles.total(), traps.total())
         suite.run("hypercall", 1)
-        assert registry.get("repro_cycles_total").total() == before
+        assert (cycles.total(), traps.total()) == before

@@ -78,10 +78,14 @@ def test_stop_closes_open_spans_and_detaches():
     cpu = FakeCpu()
     tracer.attach_to(cpu)
     tracer.begin("left-open")
+    ledger.charge(3, "x")
     tracer.stop()
     assert not tracer.open_spans()
-    assert ledger.observer is None
     assert cpu.tracer is None
+    ledger.charge(5, "after")  # detached: attributed to nothing
+    (span,) = tracer.spans()
+    assert span.self_cycles == 3
+    assert tracer.unattributed_cycles == 0
 
 
 def test_double_attach_rejected():
