@@ -293,11 +293,12 @@ def _metrics_scenario(mode, hypercalls, attach_metrics):
 def check_metrics_reconcile(machine, metrics, report=None):
     """``san-metrics-reconcile``: the registry mirrors must agree with
     the counters they are pulled from (the pull's baseline and dedupe
-    logic) — ``TrapCounter.total`` equals the trap family's sum (and
-    per reason), ``CycleLedger.total`` the cycle family's (and per
-    category).  Reads without creating series; a missing family is a
-    violation.  Only meaningful when *metrics* was attached before the
-    machine did any work.
+    logic) — ``TrapCounter.total`` equals the sum of the trap family's
+    series for *metrics*' config (and per reason), ``CycleLedger.total``
+    the cycle family's (and per category).  Other configs sharing the
+    registry are not this machine's.  Reads without creating series; a
+    missing family is a violation.  Only meaningful when *metrics* was
+    attached before the machine did any work.
     """
     if report is None:
         report = SanitizerReport()
@@ -315,10 +316,11 @@ def check_metrics_reconcile(machine, metrics, report=None):
         mirrored = {child.label_values[1]: child.value
                     for child in family.children()
                     if child.label_values[0] == metrics.config}
+        mirrored_total = sum(mirrored.values())
         report.record(
-            family.total() == total, "san-metrics-reconcile",
+            mirrored_total == total, "san-metrics-reconcile",
             "%s diverged: counter total=%d, registry sum=%d"
-            % (name, total, family.total()))
+            % (name, total, mirrored_total))
         for key, count in sorted(counts.items()):
             report.record(
                 mirrored.get(key) == count, "san-metrics-reconcile",

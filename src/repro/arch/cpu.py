@@ -46,6 +46,7 @@ from repro.arch.exceptions import (
     UndefinedInstruction,
 )
 from repro.arch.features import ArchConfig
+from repro.arch.gic import LR_NAMES
 from repro.arch.registers import (
     NeveBehavior,
     RegClass,
@@ -145,6 +146,85 @@ BLOCK_READ = "read"  # hardware read, value returned to the caller
 BLOCK_WRITE = "write"  # hardware write of the caller's next value
 BLOCK_SAVE = "save"  # hardware read, value stored in the vcpu struct
 BLOCK_RESTORE = "restore"  # vcpu-struct value written to hardware
+
+
+# --------------------------------------------------------------------------
+# Switch programs.
+#
+# One direction of L0's world switch is one program: a tuple of steps in
+# program order.  Two runners read it: the per-phase runner
+# (repro.hypervisor.world_switch.run_switch), the reference, which opens
+# one span per phase and charges per block; and Cpu.compile_switch /
+# run_switch below, which turn the whole direction into a few bulk moves
+# and one charge per category.  Slots index the vcpu structs a run is
+# given (the guest's and the host's).
+#
+#   (SWITCH_PHASE, phase, slot)   a register phase, as a tuple
+#       (span, key, program, values, before, after, barrier): its steps
+#       (key, or program(key), as CpuOps.steps resolves them), the
+#       values its writes take, the fault points crossed before and
+#       after its span, and whether a barrier closes it
+#   (SWITCH_WORK, instructions, category)          Cpu.work
+#   (SWITCH_BARRIER,)                               Cpu.barrier
+#   (SWITCH_ERET,)                                  Cpu.eret at EL2
+#   (SWITCH_VGIC_SAVE, slot, (state, control), accesses)
+#   (SWITCH_VGIC_RESTORE, slot, (state, control), accesses)
+#       the GICv2 MMIO vGIC save/restore of the live list registers:
+#       *state* moves with them, *control* is cleared after the save and
+#       enabled (1) before the restore, and *accesses* is (always, when
+#       any LR is live) device accesses besides one per live LR
+#   (SWITCH_VGIC_SYSREG_SAVE, slot)                the GICv3 system-register
+#   (SWITCH_VGIC_SYSREG_RESTORE, slot)             vGIC (never compiled)
+#   (SWITCH_FOLD_LRS, slot)                        KVM's vgic_fold_lr_state
+#   (SWITCH_FLUSH_LRS, slot, instructions, category)
+#       queue pending vIRQs into the free list registers, charging
+#       *instructions* per interrupt
+# --------------------------------------------------------------------------
+
+SWITCH_PHASE = "phase"
+SWITCH_WORK = "work"
+SWITCH_BARRIER = "barrier"
+SWITCH_ERET = "eret"
+SWITCH_VGIC_SAVE = "vgic_save"
+SWITCH_VGIC_RESTORE = "vgic_restore"
+SWITCH_VGIC_SYSREG_SAVE = "vgic_sysreg_save"
+SWITCH_VGIC_SYSREG_RESTORE = "vgic_sysreg_restore"
+SWITCH_FOLD_LRS = "fold_lrs"
+SWITCH_FLUSH_LRS = "flush_lrs"
+
+# Compiled-switch operations, each a 5-tuple.  Stores are indexed: 0 the
+# EL1 bank, 1 the EL2 bank, 2 + slot a vcpu struct's registers.  The i_*
+# fields index the compiled switch's summed charges.
+_EL1, _EL2, _STRUCT = 0, 1, 2
+_MOVE = "move"  # (_MOVE, src, dst, src_names, dst_names)
+_SET = "set"  # (_SET, dst, names, values, None), values masked already
+_VGIC_SAVE = "vgic_save"  # (kind, store, i_mmio, i_struct, by_live): the
+_VGIC_RESTORE = "vgic_restore"  # names and cycles for each live-LR count
+_FOLD = "fold"  # (_FOLD, slot, None, None, None)
+_FLUSH = "flush"  # (_FLUSH, slot, i_work, i_struct, (work, struct_access))
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+class CompiledSwitch:
+    """A switch program compiled for one CPU at real EL2.
+
+    ``ops`` are the bulk moves in program order (see ``_MOVE`` and
+    friends).  ``cycles`` are the summed charges per category; the vGIC
+    ops add their live-LR-sized cycles to them by index when they run.
+    ``charges`` and ``flushed_charges`` are ``(index, category)`` in the
+    order the per-phase runner would first have charged them, without
+    and with an interrupt flushed: a category only the flush charges is
+    charged only then.
+    """
+
+    __slots__ = ("ops", "cycles", "charges", "flushed_charges")
+
+    def __init__(self, ops, cycles, charges, flushed_charges):
+        self.ops = ops
+        self.cycles = cycles
+        self.charges = charges
+        self.flushed_charges = flushed_charges
 
 
 class RegisterBlock:
@@ -261,6 +341,10 @@ class Cpu:
         # (host_e2h, the sequence's key as its caller names it by value).
         # None marks a sequence the compiler rejected.
         self._blocks = {}
+        # Compiled world switches (see compile_switch), keyed like
+        # _blocks by the switch program's value.  None marks a rejected
+        # program.
+        self._switches = {}
 
     # ------------------------------------------------------------------
     # Context management
@@ -764,6 +848,232 @@ class Cpu:
             ctx.save_many(block.saves, saved)
         return out
 
+    # -- compiled world switches ----------------------------------------
+
+    def switch_eligible(self):
+        """May a compiled world switch stand in for the per-phase runner?
+        Checked once per switch.
+
+        Only where a compiled block may (:meth:`block_eligible`), and
+        only while nothing observes the CPU between the switch's phases:
+
+        * a tracer opens one span per phase;
+        * a metrics facade observes one phase histogram per phase;
+        * a fault injector counts ``ws.after-save``, ``ws.before-restore``
+          and ``ws.vgic-lr`` hits (``FaultInjector.at_point`` and
+          ``filter_lr_save``) without checking the exception level;
+        * the ledger's profile sink sees every charge.
+        """
+        return (self.tracer is None and self.metrics is None
+                and self.fault_hook is None
+                and self.ledger.profile_sink is None and self.block_eligible())
+
+    def compiled_switch(self, program, vhe, structs):
+        """This CPU's compiled switch for *program* run with *structs*
+        (the vcpu structs its slots name), or None when it does not
+        compile.  Keyed, like :meth:`register_block`, by the program's
+        value, so an edited register list compiles afresh; compiled on
+        first use, for this CPU's architecture and cost model."""
+        categories = tuple([struct.category for struct in structs])
+        key = (self.host_e2h, vhe, categories, program)
+        try:
+            return self._switches[key]
+        except KeyError:
+            switch = self._switches[key] = self.compile_switch(
+                program, vhe, categories)
+            return switch
+
+    def compile_switch(self, program, vhe, categories):
+        """Compile one direction's switch *program* (see ``SWITCH_*``)
+        for this CPU at real EL2, or return None to run it per phase.
+
+        *categories* are the charge categories of the vcpu structs in
+        the program's slots.  Each register phase compiles with
+        :meth:`compile_block`, so anything that rejects rejects the
+        switch (a VHE hypervisor's ``*_EL12`` aliases do), and is charged
+        as :meth:`run_block` charges it.  Its plain reads are dropped, as
+        the per-phase runner drops their values.  Consecutive moves
+        between the same two stores merge, as do consecutive constant
+        writes to one store; no value read from a register store is
+        masked again.  The vGIC ops do what
+        ``world_switch.vgic_save_mmio``/``vgic_restore_mmio`` and the
+        list-register fold and flush do, in bulk.  Every charge is summed
+        per category in first-charge order; fault points compile to
+        nothing, since :meth:`switch_eligible` admits no fault hook.
+        Rejected too: the system-register vGIC, list-register steps on a
+        CPU without a GIC, and a category first charged by interrupt
+        flushing alone but charged unconditionally later (its position
+        would depend on the flush).
+        """
+        costs = self.costs
+        steps_of = CpuOps(self, vhe).steps
+        ops = []
+        order = {}
+        cycles = []
+        always = []
+
+        def charge(category, amount, flush_only=False):
+            index = order.get(category)
+            if index is None:
+                index = order[category] = len(cycles)
+                cycles.append(0)
+                always.append(not flush_only)
+            elif not (flush_only or always[index]):
+                always[index] = None  # rejected below
+            cycles[index] += amount
+            return index
+
+        def move(src, dst, src_names, dst_names):
+            last = ops[-1] if ops else None
+            if last is not None and last[:3] == (_MOVE, src, dst):
+                ops[-1] = (_MOVE, src, dst, last[3] + src_names,
+                           last[4] + dst_names)
+            else:
+                ops.append((_MOVE, src, dst, src_names, dst_names))
+
+        def assign(dst, names, values):
+            last = ops[-1] if ops else None
+            if last is not None and last[:2] == (_SET, dst):
+                ops[-1] = (_SET, dst, last[2] + names, last[3] + values, None)
+            else:
+                ops.append((_SET, dst, names, values, None))
+
+        for step in program:
+            kind = step[0]
+            if kind == SWITCH_PHASE:
+                _kind, phase, slot = step
+                _span, key, build, values, _before, _after, barrier = phase
+                block = self.compile_block(steps_of(key, build))
+                if block is None:
+                    return None
+                category = None if slot is None else categories[slot]
+                sysreg = (block.reads * costs.sysreg_read
+                          + block.writes * costs.sysreg_write)
+                if block.load_first:
+                    charge(category, len(block.loads) * costs.mem_load)
+                    charge("sysreg", sysreg)
+                else:
+                    charge("sysreg", sysreg)
+                    if block.loads:
+                        charge(category, len(block.loads) * costs.mem_load)
+                if block.saves:
+                    charge(category, len(block.saves) * costs.mem_store)
+                used = loaded = saved = 0
+                for bank_is_el2, op, targets in block.runs:
+                    bank = _EL2 if bank_is_el2 else _EL1
+                    count = len(targets)
+                    if op == BLOCK_SAVE:
+                        move(bank, _STRUCT + slot, targets,
+                             block.saves[saved:saved + count])
+                        saved += count
+                    elif op == BLOCK_RESTORE:
+                        move(_STRUCT + slot, bank,
+                             block.loads[loaded:loaded + count], targets)
+                        loaded += count
+                    elif op == BLOCK_WRITE:
+                        assign(bank, targets,
+                               tuple(value & _MASK64
+                                     for value in values[used:used + count]))
+                        used += count
+                if barrier:
+                    charge("world_switch", costs.dsb_isb)
+            elif kind == SWITCH_WORK:
+                charge(step[2], step[1] * costs.instr)
+            elif kind == SWITCH_BARRIER:
+                charge("world_switch", costs.dsb_isb)  # as barrier()
+            elif kind == SWITCH_ERET:
+                charge("trap", costs.trap_return)  # as eret() at EL2
+            elif self.gic is None:
+                return None  # the list-register steps need the GIC
+            elif kind == SWITCH_VGIC_SAVE or kind == SWITCH_VGIC_RESTORE:
+                _kind, slot, (state, control), (fixed, when_live) = step
+                access = costs.vgic_mmio_access
+                i_mmio = charge("vgic_mmio", fixed * access)
+                by_live = []
+                for live in range(self.gic.num_lrs + 1):
+                    lrs = LR_NAMES[:live]
+                    mmio = (live + when_live if live else 0) * access
+                    if kind == SWITCH_VGIC_SAVE:
+                        by_live.append(((state,) + lrs, lrs + (control,),
+                                        (0,) * (live + 1), mmio,
+                                        live * costs.mem_store))
+                    else:
+                        by_live.append(((state,) + lrs,
+                                        (state, control) + lrs,
+                                        None, mmio, live * costs.mem_load))
+                if kind == SWITCH_VGIC_SAVE:
+                    i_struct = charge(categories[slot], costs.mem_store)
+                    ops.append((_VGIC_SAVE, _STRUCT + slot, i_mmio, i_struct,
+                                tuple(by_live)))
+                else:
+                    i_struct = charge(categories[slot], costs.mem_load)
+                    ops.append((_VGIC_RESTORE, _STRUCT + slot, i_mmio,
+                                i_struct, tuple(by_live)))
+            elif kind == SWITCH_FOLD_LRS:
+                ops.append((_FOLD, step[1], None, None, None))
+            elif kind == SWITCH_FLUSH_LRS:
+                _kind, slot, instructions, category = step
+                i_work = charge(category, 0, flush_only=True)
+                i_struct = charge(categories[slot], 0, flush_only=True)
+                ops.append((_FLUSH, slot, i_work, i_struct,
+                            (instructions * costs.instr, costs.mem_store)))
+            else:
+                return None
+        if None in always:
+            return None
+        charges = tuple(enumerate(order))
+        return CompiledSwitch(
+            ops=tuple(ops), cycles=tuple(cycles),
+            charges=tuple(charge for charge in charges
+                          if always[charge[0]]),
+            flushed_charges=charges)
+
+    def run_switch(self, switch, structs, vcpu):
+        """Execute a compiled switch with *structs* in its slots: its
+        moves in program order, then one ledger charge per category.
+        *vcpu* owns the list registers the vGIC ops move: they read and
+        update its ``used_lrs``, and the flush takes its queued
+        interrupts (``pending_lrs``)."""
+        el2 = self.el2_regs
+        stores = (self.el1_regs, el2, *[struct.regs for struct in structs])
+        cycles = list(switch.cycles)
+        flushed = 0
+        for kind, a, b, c, d in switch.ops:
+            if kind == _MOVE:
+                stores[b].copy_from(stores[a], c, d)
+            elif kind == _SET:
+                stores[a].put_many(b, c)
+            elif kind == _FOLD:
+                vcpu.used_lrs = structs[a].fold_lrs(self.gic.num_lrs)
+            elif kind == _FLUSH:
+                used = vcpu.used_lrs
+                values = vcpu.pending_lrs(self.gic.num_lrs - used)
+                flushed = len(values)
+                if flushed:
+                    structs[a].regs.put_many(LR_NAMES[used:used + flushed],
+                                             values)
+                    vcpu.used_lrs = used + flushed
+                    work, stored = d
+                    cycles[b] += flushed * work
+                    cycles[c] += flushed * stored
+            else:
+                moved, written, zeros, mmio, struct_cycles = \
+                    d[vcpu.used_lrs]
+                if kind == _VGIC_SAVE:
+                    stores[a].copy_from(el2, moved)
+                    el2.put_many(written, zeros)
+                else:
+                    values = stores[a].read_many(moved)
+                    values.insert(1, 1)  # the control register's En
+                    el2.put_many(written, values)
+                self.gic.sync_status(self)
+                cycles[b] += mmio
+                cycles[c] += struct_cycles
+        charge = self.ledger.charge
+        for index, category in (switch.flushed_charges if flushed
+                                else switch.charges):
+            charge(cycles[index], category)
+
     # -- resolution per context -----------------------------------------
 
     def _access_at_el2(self, reg, is_write, value, enc):
@@ -1063,6 +1373,16 @@ class CpuOps:
         return el2_name, Encoding.NORMAL
 
     # -- any state, by accessor -------------------------------------------
+
+    def steps(self, key, program=None):
+        """A register program's steps as ``(register, encoding, op)``,
+        resolved for this hypervisor flavour exactly as its accessors
+        would issue them.  *key* is the program itself, or a value naming
+        it from which ``program(key)`` builds its ``(register, accessor,
+        op)`` steps."""
+        return tuple(self.alias(name, accessor) + (op,)
+                     for name, accessor, op in (key if program is None
+                                                else program(key)))
 
     def alias(self, name, accessor):
         """The ``(register, encoding)`` one of KVM's accessors issues

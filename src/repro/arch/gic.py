@@ -77,6 +77,9 @@ def lr_name(index):
 #: may have (1..16).
 LR_NAMES = tuple(lr_name(index) for index in range(16))
 
+#: The status registers :meth:`Gic.sync_status` computes.
+_STATUS_REGS = ("ICH_ELRSR_EL2", "ICH_EISR_EL2", "ICH_MISR_EL2")
+
 _LR_STATE_SHIFT = 62
 _LR_HW_BIT = 1 << 61
 _LR_VINTID_MASK = 0xFFFFFFFF
@@ -207,9 +210,9 @@ class Gic:
         elrsr = 0
         eisr = 0
         used = 0
-        read = cpu.el2_regs.read
-        for index, name in enumerate(LR_NAMES[:self.num_lrs]):
-            value = read(name)
+        *lrs, hcr = cpu.el2_regs.read_many(LR_NAMES[:self.num_lrs]
+                                           + ("ICH_HCR_EL2",))
+        for index, value in enumerate(lrs):
             if lr_in_use(value):
                 used += 1
             else:
@@ -218,12 +221,11 @@ class Gic:
                     # EOI'd software interrupt with EOI maintenance set;
                     # simplified: flag only when requested via ICH_HCR.
                     eisr |= 1 << index
-        cpu.el2_regs.write("ICH_ELRSR_EL2", elrsr)  # lint: allow(sim-sysreg-bypass)
-        cpu.el2_regs.write("ICH_EISR_EL2", eisr)  # lint: allow(sim-sysreg-bypass)
         underflow = int(used == 0)
-        hcr = cpu.el2_regs.read("ICH_HCR_EL2")
         misr = underflow if (hcr & 0x2) else 0  # UIE -> MISR.U
-        cpu.el2_regs.write("ICH_MISR_EL2", misr)  # lint: allow(sim-sysreg-bypass)
+        # The GIC computes these itself (a device model's own state);
+        # they are bit masks well inside 64 bits.
+        cpu.el2_regs.put_many(_STATUS_REGS, (elrsr, eisr, misr))
 
     # ------------------------------------------------------------------
     # Virtual CPU interface (VM side; never traps)

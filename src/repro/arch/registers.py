@@ -25,6 +25,7 @@ deferred VM registers as well, and note the extension in DESIGN.md.
 
 import enum
 from dataclasses import dataclass
+from operator import itemgetter
 
 
 class RegClass(enum.Enum):
@@ -622,11 +623,24 @@ class RegisterFile:
         self._values.update(zip(names, [value & 0xFFFFFFFFFFFFFFFF
                                         for value in values]))
 
-    def copy_from(self, other, names):
-        """Bulk copy *names* from another RegisterFile (no cycle cost;
-        callers charge costs through the CPU layer)."""
-        for name in names:
-            self.write(name, other.read(name))
+    def put_many(self, names, values):
+        """:meth:`write_many` of values already 64 bits wide (read from
+        a RegisterFile, or masked once when a switch was compiled)."""
+        self._values.update(zip(names, values))
+
+    def copy_from(self, other, names, own_names=None):
+        """Bulk copy: *other*'s values of *names* into *own_names* here
+        (the same names by default), in order.  No cycle cost: callers
+        charge costs through the CPU layer.  Not masked again: every
+        value in a RegisterFile was masked when it was written."""
+        values = other._values
+        try:
+            moved = (itemgetter(*names)(values) if len(names) > 1
+                     else [values[name] for name in names])
+        except KeyError:  # a register never written reads as zero
+            moved = [values.get(name, 0) for name in names]
+        self._values.update(zip(names if own_names is None else own_names,
+                                moved))
 
     def as_dict(self):
         return dict(self._values)

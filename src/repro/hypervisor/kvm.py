@@ -21,14 +21,7 @@ from repro.arch.cpu import Cpu
 from repro.arch.dispatch import DispatchTable
 from repro.arch.exceptions import ExceptionClass, ExceptionLevel
 from repro.arch.features import ArchConfig, ArchVersion, GicVersion
-from repro.arch.gic import (
-    LR_NAMES,
-    Gic,
-    ListRegister,
-    LrState,
-    lr_in_use,
-    lr_name,
-)
+from repro.arch.gic import Gic, lr_name
 from repro.arch.idregs import discover_from_arch
 from repro.arch.registers import NeveBehavior, RegClass, lookup_register
 from repro.arch.timer import EL1_TIMER_SAVE_LIST
@@ -177,6 +170,10 @@ class KvmHypervisor:
         # (repro.faults.recovery) installs one to resync NEVE state.
         self.serror_policy = None
         self.psci = PsciEmulator(self)
+        # L0's switch programs (world_switch.host_switch_program and
+        # guest_switch_program), built on first use per direction and
+        # stage-2 base from the register lists as they stand then.
+        self._programs = {}
         for cpu in machine.cpus:
             cpu.trap_handler = self
             self.host_ctx[cpu.cpu_id] = VcpuStruct(cpu)
@@ -328,70 +325,43 @@ class KvmHypervisor:
     # ------------------------------------------------------------------
 
     def _switch_to_host(self, cpu, vcpu):
-        with cpu_span(cpu, "l0.switch_to_host"):
-            ops = ws.make_ops(cpu, self.vhe)
-            ws.save_el1_state(ops, vcpu.el1_ctx)
-            ws.timer_save(ops, vcpu.el1_ctx, self.vhe)
-            if self.gic_mmio:
-                ws.vgic_save_mmio(cpu, vcpu.el1_ctx, vcpu.used_lrs)
-            else:
-                ws.vgic_save(ops, vcpu.el1_ctx, vcpu.used_lrs)
-            self._recount_used_lrs(vcpu)
-            ws.deactivate_traps(ops, self.vhe)
-            ws.restore_el1_state(ops, self.host_ctx[cpu.cpu_id])
-            cpu.work(340, category="l0_kernel")  # ret to kernel, run-loop epilogue
+        self._switch(cpu, vcpu, "l0.switch_to_host",
+                     self._program(ws.host_switch_program))
 
     def _switch_to_guest(self, cpu, vcpu):
-        with cpu_span(cpu, "l0.switch_to_guest"):
-            cpu.work(210, category="l0_kernel")  # run-loop prologue
-            ops = ws.make_ops(cpu, self.vhe)
-            ws.save_el1_state(ops, self.host_ctx[cpu.cpu_id])
-            ws.activate_traps(ops, self.vhe, vttbr=self._vttbr_for(vcpu))
-            ws.timer_restore(ops, vcpu.el1_ctx, self.vhe)
-            self._l0_vgic_flush(cpu, vcpu)
-            if self.gic_mmio:
-                ws.vgic_restore_mmio(cpu, vcpu.el1_ctx, vcpu.used_lrs)
-            else:
-                ws.vgic_restore(ops, vcpu.el1_ctx, vcpu.used_lrs)
-            ws.restore_el1_state(ops, vcpu.el1_ctx)
-            cpu.fp_trap = True  # CPTR_EL2 re-armed: next FP use traps
-            cpu.barrier()
-            cpu.eret()
+        self._switch(cpu, vcpu, "l0.switch_to_guest",
+                     self._program(ws.guest_switch_program,
+                                   self._vttbr_for(vcpu)))
+        cpu.fp_trap = True  # CPTR_EL2 re-armed: next FP use traps
+
+    def _program(self, build, *args):
+        key = (build,) + args
+        try:
+            return self._programs[key]
+        except KeyError:
+            program = self._programs[key] = build(self.vhe, self.gic_mmio,
+                                                  *args)
+            return program
+
+    def _switch(self, cpu, vcpu, span, program):
+        """Run one direction of the world switch between *vcpu* and the
+        host kernel: compiled when nothing observes the CPU between its
+        phases (``Cpu.switch_eligible``, checked once) and the program
+        compiles, else phase by phase inside the *span*."""
+        structs = (vcpu.el1_ctx, self.host_ctx[cpu.cpu_id])
+        if cpu.switch_eligible():
+            switch = cpu.compiled_switch(program, self.vhe, structs)
+            if switch is not None:
+                cpu.run_switch(switch, structs, vcpu)
+                return
+        with cpu_span(cpu, span):
+            ws.run_switch(ws.make_ops(cpu, self.vhe), program, structs, vcpu)
 
     def _vttbr_for(self, vcpu):
         vm = vcpu.vm
         if vcpu.mode is VcpuMode.NESTED:
             return (vm.vmid << 48) | 0x2  # shadow stage-2 base
         return (vm.vmid << 48) | 0x1
-
-    def _recount_used_lrs(self, vcpu):
-        """Fold the saved list registers: completed interrupts leave
-        INVALID slots behind, which must become reusable (KVM's
-        vgic_fold_lr_state).  Live entries are compacted downwards."""
-        names = LR_NAMES[:self.machine.gic.num_lrs]
-        live = [value for value in map(vcpu.el1_ctx.peek, names)
-                if lr_in_use(value)]
-        for index, name in enumerate(names):
-            vcpu.el1_ctx.poke(name, live[index] if index < len(live) else 0)
-        vcpu.used_lrs = len(live)
-
-    def _l0_vgic_flush(self, cpu, vcpu):
-        """Queue pending L1-level virtual interrupts into the LR image.
-
-        Nothing is flushed while the vcpu's *nested VM* context is loaded:
-        interrupts for the guest hypervisor are delivered by forwarding an
-        IRQ exit instead."""
-        if vcpu.mode is VcpuMode.NESTED:
-            return
-        index = vcpu.used_lrs
-        while vcpu.pending_virqs and index < self.machine.gic.num_lrs:
-            intid = vcpu.pending_virqs.pop(0)
-            cpu.work(55, category="l0_vgic")
-            lr = ListRegister(vintid=intid, state=LrState.PENDING,
-                              priority=0x80)
-            vcpu.el1_ctx.save(lr_name(index), lr.encode())
-            index += 1
-        vcpu.used_lrs = index
 
     # ------------------------------------------------------------------
     # Plain VM exits (also the guest hypervisor's vEL1 kernel part)

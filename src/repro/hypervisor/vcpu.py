@@ -8,6 +8,7 @@ the bookkeeping NEVE needs (the deferred access page runner).
 
 import enum
 
+from repro.arch.gic import LR_NAMES, ListRegister, LrState, lr_in_use
 from repro.arch.registers import RegisterFile
 
 
@@ -30,28 +31,39 @@ class VcpuStruct:
 
     def __init__(self, cpu, category="world_switch"):
         self._cpu = cpu
-        self._category = category
+        self.category = category  # what its loads and stores charge
         self.regs = RegisterFile()
 
     def save(self, name, value):
-        self._cpu.ledger.charge(self._cpu.costs.mem_store, self._category)
+        self._cpu.ledger.charge(self._cpu.costs.mem_store, self.category)
         self.regs.write(name, value)
 
     def load(self, name):
-        self._cpu.ledger.charge(self._cpu.costs.mem_load, self._category)
+        self._cpu.ledger.charge(self._cpu.costs.mem_load, self.category)
         return self.regs.read(name)
 
     def save_many(self, names, values):
         """Bulk :meth:`save`: the same stores, one summed charge."""
         cpu = self._cpu
-        cpu.ledger.charge(len(names) * cpu.costs.mem_store, self._category)
+        cpu.ledger.charge(len(names) * cpu.costs.mem_store, self.category)
         self.regs.write_many(names, values)
 
     def load_many(self, names):
         """Bulk :meth:`load`: the same loads, one summed charge."""
         cpu = self._cpu
-        cpu.ledger.charge(len(names) * cpu.costs.mem_load, self._category)
+        cpu.ledger.charge(len(names) * cpu.costs.mem_load, self.category)
         return self.regs.read_many(names)
+
+    def fold_lrs(self, num_lrs):
+        """KVM's vgic_fold_lr_state on the saved list registers:
+        completed interrupts leave INVALID slots behind, which become
+        reusable; live entries are compacted downwards.  Returns the
+        live count.  Charges nothing."""
+        names = LR_NAMES[:num_lrs]
+        live = [value for value in self.regs.read_many(names)
+                if lr_in_use(value)]
+        self.regs.put_many(names, live + [0] * (num_lrs - len(live)))
+        return len(live)
 
     def peek(self, name):
         """Read without charging (for assertions/tests only)."""
@@ -112,6 +124,19 @@ class VcpuState:
         if self.pending_virqs:
             return self.pending_virqs.pop(0)
         return None
+
+    def pending_lrs(self, limit):
+        """Take up to *limit* queued virtual interrupts, oldest first, as
+        the pending list-register values the host flushes into this
+        vcpu's LR image.  None while the nested VM's context is loaded:
+        interrupts for the guest hypervisor are delivered by forwarding
+        an IRQ exit instead."""
+        if self.mode is VcpuMode.NESTED or limit <= 0:
+            return []
+        taken = self.pending_virqs[:limit]
+        del self.pending_virqs[:len(taken)]
+        return [ListRegister(vintid=intid, state=LrState.PENDING,
+                             priority=0x80).encode() for intid in taken]
 
     @property
     def in_virtual_el2(self):

@@ -21,6 +21,13 @@ hypervisor at virtual EL2 runs a program one access at a time, so each
 access traps, defers or goes direct by the architecture rules.  L0 at
 real EL2 runs it as one compiled block: one bulk register move and one
 summed charge per category.  Both read the same program.
+
+L0's whole world switch is one *switch program* per direction
+(:func:`host_switch_program`, :func:`guest_switch_program`): its
+register phases, fixed charges, vGIC steps and fault points, in order.
+:func:`run_switch` runs it phase by phase, the reference every observed
+run takes; :meth:`repro.arch.cpu.Cpu.compile_switch` turns it into a few
+bulk moves and one charge per category for runs nothing observes.
 """
 
 from repro.arch.cpu import (
@@ -28,8 +35,19 @@ from repro.arch.cpu import (
     BLOCK_RESTORE as RESTORE,
     BLOCK_SAVE as SAVE,
     BLOCK_WRITE as WRITE,
+    SWITCH_BARRIER,
+    SWITCH_ERET,
+    SWITCH_FLUSH_LRS,
+    SWITCH_FOLD_LRS,
+    SWITCH_PHASE,
+    SWITCH_VGIC_RESTORE,
+    SWITCH_VGIC_SAVE,
+    SWITCH_VGIC_SYSREG_RESTORE,
+    SWITCH_VGIC_SYSREG_SAVE,
+    SWITCH_WORK,
     CpuOps,
 )
+from repro.arch.gic import lr_name
 from repro.trace.spans import cpu_span
 
 # HCR_EL2 bits (the subset the model uses; values follow the ARM ARM).
@@ -85,6 +103,10 @@ NR_GPRS = 31
 #: GIC maintenance/control state beyond the list registers.
 ICH_AP_REGS = ("ICH_AP0R0_EL2", "ICH_AP1R0_EL2")
 
+#: Slots of the vcpu structs an L0 switch program moves state between:
+#: the running vcpu's EL1 context and the host kernel's.
+GUEST, HOST = 0, 1
+
 
 def full_el1_context():
     return EL1_STATE + EL0_STATE + DEBUG_STATE
@@ -124,18 +146,10 @@ def _run(ops, key, ctx=None, values=(), program=None):
     cpu = ops.cpu
     if cpu.block_eligible():
         block = cpu.register_block((ops.vhe, key),
-                                   lambda: _steps(ops, key, program))
+                                   lambda: ops.steps(key, program))
         if block is not None:
             return cpu.run_block(block, ctx, values)
-    return _per_access(cpu, _steps(ops, key, program), ctx, values)
-
-
-def _steps(ops, key, program):
-    """A program's steps as ``(register, encoding, op)``, resolved for
-    this hypervisor flavour exactly as its accessors would issue them."""
-    return tuple(ops.alias(name, accessor) + (op,)
-                 for name, accessor, op in (key if program is None
-                                            else program(key)))
+    return _per_access(cpu, ops.steps(key, program), ctx, values)
 
 
 def _per_access(cpu, steps, ctx, values):
@@ -155,6 +169,27 @@ def _per_access(cpu, steps, ctx, values):
     return out
 
 
+# A register phase, as switch programs list it (see repro.arch.cpu), is
+# ``(span, key, program, values, before, after, barrier)``: a span around
+# one register program (as _run takes it) whose writes take *values*, the
+# fault points crossed *before* and *after* the span (or None), and
+# whether a *barrier* closes it inside the span.
+
+def _run_phase(ops, phase, ctx=None):
+    """Run one register phase per access, or as a compiled block at real
+    EL2, with its fault points and its span."""
+    span, key, program, values, before, after, barrier = phase
+    cpu = ops.cpu
+    if before is not None:
+        fault_point(cpu, before)
+    with cpu_span(cpu, span):
+        _run(ops, key, ctx, values, program)
+        if barrier:
+            cpu.barrier()
+    if after is not None:
+        fault_point(cpu, after)
+
+
 # ---------------------------------------------------------------------------
 # EL1/EL0 context
 # ---------------------------------------------------------------------------
@@ -169,6 +204,16 @@ def _el1_program(key):
             + tuple((name, "raw", op) for name in el0_state))
 
 
+def _el1_phase(op):
+    """save_el1_state's phase (*op* SAVE) or restore_el1_state's."""
+    key = (op, EL1_STATE, DEBUG_STATE, EL0_STATE)
+    if op == SAVE:
+        return ("ws.save_el1_state", key, _el1_program, (), None,
+                "ws.after-save", False)
+    return ("ws.restore_el1_state", key, _el1_program, (),
+            "ws.before-restore", None, False)
+
+
 def save_el1_state(ops, ctx):
     """Read the loaded VM EL1/EL0 context into a vcpu struct.
 
@@ -177,17 +222,11 @@ def save_el1_state(ops, ctx):
     virtual EL2 both variants trap on ARMv8.3 and are deferred to memory
     by NEVE (Table 3).
     """
-    with cpu_span(ops.cpu, "ws.save_el1_state"):
-        _run(ops, (SAVE, EL1_STATE, DEBUG_STATE, EL0_STATE), ctx,
-             program=_el1_program)
-    fault_point(ops.cpu, "ws.after-save")
+    _run_phase(ops, _el1_phase(SAVE), ctx)
 
 
 def restore_el1_state(ops, ctx):
-    fault_point(ops.cpu, "ws.before-restore")
-    with cpu_span(ops.cpu, "ws.restore_el1_state"):
-        _run(ops, (RESTORE, EL1_STATE, DEBUG_STATE, EL0_STATE), ctx,
-             program=_el1_program)
+    _run_phase(ops, _el1_phase(RESTORE), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -260,31 +299,36 @@ _DEACTIVATE_TRAPS = (
 )
 
 
+def _activate_phase(vttbr, guest_hcr=HCR_GUEST_FLAGS):
+    return ("ws.activate_traps", _ACTIVATE_TRAPS, None, (
+        guest_hcr,
+        1,  # CPTR_EL2: trap FP/SIMD until first use
+        1,  # MDCR_EL2: trap debug
+        0,  # HSTR_EL2
+        vttbr,
+        1,  # VTCR_EL2
+        0x8000_0000,  # VMPIDR_EL2: virtual MPIDR for the vcpu
+        0x410F_D070,  # VPIDR_EL2
+        0x1000,  # TPIDR_EL2: per-vcpu context pointer
+    ), None, None, True)
+
+
+def _deactivate_phase(vhe, host_hcr=HCR_HOST_FLAGS):
+    hcr = host_hcr | (HCR_E2H if vhe else 0)
+    return ("ws.deactivate_traps", _DEACTIVATE_TRAPS, None, (hcr, 0, 0, 0),
+            None, None, True)
+
+
 def activate_traps(ops, vhe, vttbr, guest_hcr=HCR_GUEST_FLAGS):
     """Configure the hardware to run a VM (KVM's __activate_traps +
     __activate_vm): trap controls, stage-2 base, virtual CPU identity and
     the per-vcpu pointer."""
-    with cpu_span(ops.cpu, "ws.activate_traps"):
-        _run(ops, _ACTIVATE_TRAPS, values=(
-            guest_hcr,
-            1,  # CPTR_EL2: trap FP/SIMD until first use
-            1,  # MDCR_EL2: trap debug
-            0,  # HSTR_EL2
-            vttbr,
-            1,  # VTCR_EL2
-            0x8000_0000,  # VMPIDR_EL2: virtual MPIDR for the vcpu
-            0x410F_D070,  # VPIDR_EL2
-            0x1000,  # TPIDR_EL2: per-vcpu context pointer
-        ))
-        ops.cpu.barrier()
+    _run_phase(ops, _activate_phase(vttbr, guest_hcr))
 
 
 def deactivate_traps(ops, vhe, host_hcr=HCR_HOST_FLAGS):
     """Undo trap configuration on the way back to the host."""
-    with cpu_span(ops.cpu, "ws.deactivate_traps"):
-        hcr = host_hcr | (HCR_E2H if vhe else 0)
-        _run(ops, _DEACTIVATE_TRAPS, values=(hcr, 0, 0, 0))
-        ops.cpu.barrier()
+    _run_phase(ops, _deactivate_phase(vhe, host_hcr))
 
 
 # ---------------------------------------------------------------------------
@@ -377,30 +421,47 @@ def vgic_restore_v2(cpu, ctx, used_lrs, gich_base):
                            ctx.load("ICH_AP0R0_EL2"))
 
 
+#: The MMIO vGIC's registers besides the list registers: the VM interface
+#: control, which moves with the live LRs, and the hypervisor control,
+#: cleared after the save and enabled before the restore.
+_VGIC_MMIO_REGS = ("ICH_VMCR_EL2", "ICH_HCR_EL2")
+#: Device accesses of the MMIO vGIC save and restore besides one per live
+#: list register: ``(always, when any LR is live)``.
+_VGIC_MMIO_SAVE = (2, 1 + len(ICH_AP_REGS))
+_VGIC_MMIO_RESTORE = (2, len(ICH_AP_REGS))
+
+
+def _mmio_accesses(accesses, used_lrs):
+    always, when_live = accesses
+    return always + (used_lrs + when_live if used_lrs else 0)
+
+
 def vgic_save_mmio(cpu, ctx, used_lrs):
     """GICv2 variant: the hypervisor interface is memory mapped, so every
     access pays a device-memory round trip instead of an MSR/MRS.  Used by
     the L0 host hypervisor on the paper's GICv2 testbed; the extra cost is
     a large part of why ARM exits cost ~2,700 cycles."""
+    vmcr, hcr = _VGIC_MMIO_REGS
     with cpu_span(cpu, "ws.vgic_save_mmio", used_lrs=used_lrs):
-        accesses = 2 + (1 + used_lrs + len(ICH_AP_REGS) if used_lrs else 0)
+        accesses = _mmio_accesses(_VGIC_MMIO_SAVE, used_lrs)
         cpu.ledger.charge(accesses * cpu.costs.vgic_mmio_access, "vgic_mmio")
-        ctx.save("ICH_VMCR_EL2", cpu.el2_regs.read("ICH_VMCR_EL2"))
+        ctx.save(vmcr, cpu.el2_regs.read(vmcr))
         for index in range(used_lrs):
             name = "ICH_LR%d_EL2" % index
             ctx.save(name, _filter_lr(cpu, name, cpu.el2_regs.read(name)))
             cpu.el2_regs.write(name, 0)  # lint: allow(sim-sysreg-bypass)
-        cpu.el2_regs.write("ICH_HCR_EL2", 0)  # lint: allow(sim-sysreg-bypass)
+        cpu.el2_regs.write(hcr, 0)  # lint: allow(sim-sysreg-bypass)
         if cpu.gic is not None:
             cpu.gic.sync_status(cpu)
 
 
 def vgic_restore_mmio(cpu, ctx, used_lrs):
+    vmcr, hcr = _VGIC_MMIO_REGS
     with cpu_span(cpu, "ws.vgic_restore_mmio", used_lrs=used_lrs):
-        accesses = 2 + used_lrs + (len(ICH_AP_REGS) if used_lrs else 0)
+        accesses = _mmio_accesses(_VGIC_MMIO_RESTORE, used_lrs)
         cpu.ledger.charge(accesses * cpu.costs.vgic_mmio_access, "vgic_mmio")
-        cpu.el2_regs.write("ICH_VMCR_EL2", ctx.load("ICH_VMCR_EL2"))  # lint: allow(sim-sysreg-bypass)
-        cpu.el2_regs.write("ICH_HCR_EL2", 1)  # lint: allow(sim-sysreg-bypass)
+        cpu.el2_regs.write(vmcr, ctx.load(vmcr))  # lint: allow(sim-sysreg-bypass)
+        cpu.el2_regs.write(hcr, 1)  # lint: allow(sim-sysreg-bypass)
         for index in range(used_lrs):
             name = "ICH_LR%d_EL2" % index
             cpu.el2_regs.write(name, ctx.load(name))  # lint: allow(sim-sysreg-bypass)
@@ -434,6 +495,19 @@ _TIMER_RESTORE = (
 _TIMER_RESTORE_VHE = _TIMER_RESTORE + (("CNTV_CTL_EL0", "raw", WRITE),)
 
 
+def _timer_save_phase(vhe):
+    return ("ws.timer_save", _TIMER_SAVE_VHE if vhe else _TIMER_SAVE, None,
+            (0, 3), None, None, False)
+
+
+def _timer_restore_phase(vhe):
+    if vhe:
+        return ("ws.timer_restore", _TIMER_RESTORE_VHE, None, (0x1000, 0, 1),
+                None, None, False)
+    return ("ws.timer_restore", _TIMER_RESTORE, None, (0x1000, 0), None,
+            None, False)
+
+
 def timer_save(ops, ctx, vhe):
     """Save the VM's EL1 virtual timer and give the host the hardware.
 
@@ -441,17 +515,11 @@ def timer_save(ops, ctx, vhe):
     EL02-encoded for a VHE hypervisor — the latter *always* trap at
     virtual EL2, even with NEVE (Section 7.1).
     """
-    with cpu_span(ops.cpu, "ws.timer_save"):
-        _run(ops, _TIMER_SAVE_VHE if vhe else _TIMER_SAVE, ctx,
-             values=(0, 3))
+    _run_phase(ops, _timer_save_phase(vhe), ctx)
 
 
 def timer_restore(ops, ctx, vhe):
-    with cpu_span(ops.cpu, "ws.timer_restore"):
-        if vhe:
-            _run(ops, _TIMER_RESTORE_VHE, ctx, values=(0x1000, 0, 1))
-        else:
-            _run(ops, _TIMER_RESTORE, ctx, values=(0x1000, 0))
+    _run_phase(ops, _timer_restore_phase(vhe), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -471,3 +539,98 @@ def hyp_exit(cpu):
 
 def make_ops(cpu, vhe):
     return CpuOps(cpu, vhe)
+
+
+# ---------------------------------------------------------------------------
+# L0's switch programs
+# ---------------------------------------------------------------------------
+
+def _vgic_step(save, gic_mmio):
+    if gic_mmio:
+        if save:
+            return (SWITCH_VGIC_SAVE, GUEST, _VGIC_MMIO_REGS, _VGIC_MMIO_SAVE)
+        return (SWITCH_VGIC_RESTORE, GUEST, _VGIC_MMIO_REGS,
+                _VGIC_MMIO_RESTORE)
+    return (SWITCH_VGIC_SYSREG_SAVE if save else SWITCH_VGIC_SYSREG_RESTORE,
+            GUEST)
+
+
+def host_switch_program(vhe, gic_mmio):
+    """L0's switch from a running vcpu to its host kernel, as one switch
+    program: save the vcpu's EL1 context, timer and vGIC state, fold its
+    list registers, drop the VM's trap configuration, load the host's EL1
+    context and return into the host kernel's run loop."""
+    return (
+        (SWITCH_PHASE, _el1_phase(SAVE), GUEST),
+        (SWITCH_PHASE, _timer_save_phase(vhe), GUEST),
+        _vgic_step(True, gic_mmio),
+        (SWITCH_FOLD_LRS, GUEST),
+        (SWITCH_PHASE, _deactivate_phase(vhe), None),
+        (SWITCH_PHASE, _el1_phase(RESTORE), HOST),
+        (SWITCH_WORK, 340, "l0_kernel"),  # ret to kernel, run-loop epilogue
+    )
+
+
+def guest_switch_program(vhe, gic_mmio, vttbr):
+    """L0's switch from its host kernel into a vcpu, as one switch
+    program: the run loop's prologue, save the host's EL1 context, trap
+    configuration for stage-2 base *vttbr*, the vcpu's timer, queued
+    interrupts flushed into its list registers, its vGIC and EL1 context,
+    then ``eret``."""
+    return (
+        (SWITCH_WORK, 210, "l0_kernel"),  # run-loop prologue
+        (SWITCH_PHASE, _el1_phase(SAVE), HOST),
+        (SWITCH_PHASE, _activate_phase(vttbr), None),
+        (SWITCH_PHASE, _timer_restore_phase(vhe), GUEST),
+        (SWITCH_FLUSH_LRS, GUEST, 55, "l0_vgic"),
+        _vgic_step(False, gic_mmio),
+        (SWITCH_PHASE, _el1_phase(RESTORE), GUEST),
+        (SWITCH_BARRIER,),
+        (SWITCH_ERET,),
+    )
+
+
+def run_switch(ops, program, structs, vcpu):
+    """Run a switch program phase by phase: the reference runner, taken
+    whenever anything observes the CPU.  Each register phase opens its
+    own span with its fault points and charges per block; *structs* fill
+    the program's slots; *vcpu* owns the list registers the vGIC steps
+    move (``used_lrs`` and its queued interrupts)."""
+    cpu = ops.cpu
+    for step in program:
+        kind = step[0]
+        if kind == SWITCH_PHASE:
+            slot = step[2]
+            _run_phase(ops, step[1], None if slot is None else structs[slot])
+        elif kind == SWITCH_WORK:
+            cpu.work(step[1], category=step[2])
+        elif kind == SWITCH_BARRIER:
+            cpu.barrier()
+        elif kind == SWITCH_ERET:
+            cpu.eret()
+        elif kind == SWITCH_VGIC_SAVE:
+            vgic_save_mmio(cpu, structs[step[1]], vcpu.used_lrs)
+        elif kind == SWITCH_VGIC_RESTORE:
+            vgic_restore_mmio(cpu, structs[step[1]], vcpu.used_lrs)
+        elif kind == SWITCH_VGIC_SYSREG_SAVE:
+            vgic_save(ops, structs[step[1]], vcpu.used_lrs)
+        elif kind == SWITCH_VGIC_SYSREG_RESTORE:
+            vgic_restore(ops, structs[step[1]], vcpu.used_lrs)
+        elif kind == SWITCH_FOLD_LRS:
+            vcpu.used_lrs = structs[step[1]].fold_lrs(cpu.gic.num_lrs)
+        elif kind == SWITCH_FLUSH_LRS:
+            _kind, slot, instructions, category = step
+            _flush_lrs(cpu, structs[slot], vcpu, instructions, category)
+        else:
+            raise ValueError("unknown switch step: %r" % (kind,))
+
+
+def _flush_lrs(cpu, ctx, vcpu, instructions, category):
+    """Queue the vcpu's pending virtual interrupts into the free list
+    registers of its LR image, *instructions* of work each."""
+    index = vcpu.used_lrs
+    for value in vcpu.pending_lrs(cpu.gic.num_lrs - index):
+        cpu.work(instructions, category=category)
+        ctx.save(lr_name(index), value)
+        index += 1
+    vcpu.used_lrs = index

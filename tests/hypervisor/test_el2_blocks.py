@@ -1,11 +1,16 @@
-"""L0's compiled EL2 register blocks against the per-access path.
+"""L0's compiled EL2 register blocks and compiled world switches
+against the per-access and per-phase paths.
 
 At real EL2 the host hypervisor runs its fixed world-switch register
 sequences as compiled blocks (``Cpu.run_block``): one bulk move and one
-summed charge per category.  The per-access path is the reference.
-These tests force it by patching the eligibility predicate
-(``Cpu.block_eligible``) and require every observable to match: cycles,
-traps, the ledger's categories in order, register state and exports.
+summed charge per category.  When nothing observes the CPU it runs each
+whole world switch as one compiled switch (``Cpu.run_switch``): a few
+bulk moves and one charge per category for the direction.  The
+per-access and per-phase paths are the references.  These tests force
+them by patching the eligibility predicates (``Cpu.block_eligible``
+turns both off, ``Cpu.switch_eligible`` only the compiled switch) and
+require every observable to match: cycles, traps, the ledger's
+categories in order, register state, list registers and exports.
 """
 
 import pytest
@@ -22,15 +27,18 @@ from repro.arch.cpu import (
 )
 from repro.arch.exceptions import ExceptionLevel
 from repro.arch.features import ARMV8_0, ARMV8_3, ARMV8_4
+from repro.arch.registers import RegisterFile
 from repro.faults.campaign import run_campaign
 from repro.faults.plan import FaultClass, FaultPlan, PlannedFault
 from repro.faults.points import FaultInjector
 from repro.hypervisor import world_switch as ws
+from repro.hypervisor.kvm import Machine
 from repro.hypervisor.vcpu import VcpuStruct
 from repro.metrics.cycles import CycleLedger
 from repro.metrics.instrument import MachineMetrics
 from repro.metrics.registry import MetricsRegistry
 from repro.trace.export import chrome_trace_json
+from repro.trace.spans import Tracer
 
 ARM_CONFIGS = sorted(name for name, config in ALL_CONFIGS.items()
                      if config.platform == "arm")
@@ -43,17 +51,33 @@ def force_per_access(monkeypatch):
     monkeypatch.setattr(Cpu, "block_eligible", lambda self: False)
 
 
+def force_per_phase(monkeypatch):
+    monkeypatch.setattr(Cpu, "switch_eligible", lambda self: False)
+
+
+def count_compiled_switches(monkeypatch):
+    """The compiled switches run from now on, in a list."""
+    ran = []
+    run_switch = Cpu.run_switch
+
+    def counting(self, switch, structs, vcpu):
+        ran.append(switch)
+        return run_switch(self, switch, structs, vcpu)
+
+    monkeypatch.setattr(Cpu, "run_switch", counting)
+    return ran
+
+
 def regs(struct):
     return None if struct is None else list(struct.regs.as_dict().items())
 
 
-def microbench_state(config, bench):
-    """Everything a microbenchmark cell leaves observable."""
-    suite = make_microbench(config)
-    result = suite.run(bench, ITERATIONS)
-    machine = suite.machine
+def machine_state(machine, vcpus):
+    """Everything a machine's run leaves observable: the ledger's
+    categories in order, traps by reason, every register bank and vcpu
+    struct in insertion order, and the vcpus' list-register bookkeeping
+    (live count and queued interrupts)."""
     return {
-        "result": [result.cycles, result.traps],
         "ledger": list(machine.ledger.by_category.items()),
         "traps": list(machine.traps.by_reason.items()),
         "hardware": [(list(cpu.el1_regs.as_dict().items()),
@@ -62,8 +86,18 @@ def microbench_state(config, bench):
         "host_ctx": [regs(machine.kvm.host_ctx[cpu.cpu_id])
                      for cpu in machine.cpus],
         "vcpus": [[regs(getattr(vcpu, attr)) for attr in VCPU_STRUCTS]
-                  for vcpu in suite.vm.vcpus],
+                  for vcpu in vcpus],
+        "lrs": [(vcpu.used_lrs, list(vcpu.pending_virqs))
+                for vcpu in vcpus],
     }
+
+
+def microbench_state(config, bench):
+    """Everything a microbenchmark cell leaves observable."""
+    suite = make_microbench(config)
+    result = suite.run(bench, ITERATIONS)
+    return dict(machine_state(suite.machine, suite.vm.vcpus),
+                result=[result.cycles, result.traps])
 
 
 def campaign_exports(seed, cpus):
@@ -169,6 +203,7 @@ class _UnchargedStores:
 
 
 def test_parity_catches_an_extra_cycle(monkeypatch):
+    force_per_phase(monkeypatch)  # L0's switches run their blocks
     expected = microbench_state("arm-nested", "hypercall")
     run_block = Cpu.run_block
 
@@ -185,6 +220,7 @@ def test_parity_catches_an_extra_cycle(monkeypatch):
 
 def test_parity_catches_world_switch_charged_before_sysreg_on_save(
         monkeypatch):
+    force_per_phase(monkeypatch)  # L0's switches run their blocks
     expected = microbench_state("arm-vm", "hypercall")
     run_block = Cpu.run_block
 
@@ -200,6 +236,236 @@ def test_parity_catches_world_switch_charged_before_sysreg_on_save(
     assert observed["result"] == expected["result"]  # same totals...
     with pytest.raises(AssertionError):
         assert_parity(observed, expected)  # ...in the wrong order
+
+
+# ---------------------------------------------------------------------------
+# Compiled world switches against the per-phase runner
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("config", ARM_CONFIGS)
+@pytest.mark.parametrize("bench", MICROBENCHMARKS)
+def test_microbench_cells_match_per_phase(monkeypatch, config, bench):
+    ran = count_compiled_switches(monkeypatch)
+    compiled = microbench_state(config, bench)
+    assert ran, "no compiled switch ran"
+    force_per_phase(monkeypatch)
+    del ran[:]
+    per_phase = microbench_state(config, bench)
+    assert not ran
+    assert_parity(compiled, per_phase)
+
+
+GIC_STATUS = ("ICH_ELRSR_EL2", "ICH_EISR_EL2", "ICH_MISR_EL2")
+
+
+def live_list_register_state(ran):
+    """Switches that change the GIC status: out to the host, in with a
+    queued interrupt flushed into a list register, out again with it
+    live.  The status after each switch and the state at the end, and
+    how many of the three switches ran compiled (*ran* lists them)."""
+    suite = make_microbench("arm-vm")
+    machine, vcpu = suite.machine, suite.vm.vcpus[0]
+    cpu, kvm = vcpu.cpu, machine.kvm
+    vcpu.queue_virq(27)
+    statuses = []
+    booted = len(ran)
+    with cpu.host_mode():
+        for switch in (kvm._switch_to_host, kvm._switch_to_guest,
+                       kvm._switch_to_host):
+            switch(cpu, vcpu)
+            statuses.append(cpu.el2_regs.read_many(GIC_STATUS))
+    state = dict(machine_state(machine, suite.vm.vcpus), statuses=statuses)
+    return state, len(ran) - booted
+
+
+def test_live_list_registers_match_per_phase(monkeypatch):
+    ran = count_compiled_switches(monkeypatch)
+    compiled, compiled_runs = live_list_register_state(ran)
+    assert compiled_runs == 3
+    # ELRSR marks the flushed LR live inside the guest, free outside.
+    assert compiled["statuses"] == [[0xF, 0, 0], [0xE, 0, 0], [0xF, 0, 0]]
+    assert compiled["lrs"][0] == (1, [])
+    force_per_phase(monkeypatch)
+    per_phase, compiled_runs = live_list_register_state(ran)
+    assert compiled_runs == 0
+    assert_parity(compiled, per_phase)
+
+
+def hypercall_exports_observed_late():
+    """Boot a neve-nested machine and run one hypercall with nothing
+    attached, then attach a tracer and metrics and run another."""
+    suite = make_microbench("neve-nested")
+    machine = suite.machine
+    cpu = suite.vm.vcpus[0].cpu
+    cpu.hvc()
+    tracer = Tracer().attach_machine(machine)
+    registry = MetricsRegistry()
+    MachineMetrics(registry=registry, config="late").attach_machine(machine)
+    cpu.hvc()
+    tracer.stop()
+    return {
+        "trace": chrome_trace_json(tracer),
+        "prometheus": registry.prometheus_text(),
+        "json": registry.json_snapshot(),
+        "state": machine_state(machine, suite.vm.vcpus),
+    }
+
+
+def test_exports_after_an_unobserved_start_match_a_run_never_compiled(
+        monkeypatch):
+    ran = count_compiled_switches(monkeypatch)
+    tracer_attach = Tracer.attach_machine
+    compiled_before_observing = []
+
+    def attach_machine(tracer, machine):
+        compiled_before_observing.append(len(ran))
+        return tracer_attach(tracer, machine)
+
+    monkeypatch.setattr(Tracer, "attach_machine", attach_machine)
+    observed = hypercall_exports_observed_late()
+    assert compiled_before_observing[0] > 0
+    assert len(ran) == compiled_before_observing[0], \
+        "a compiled switch ran while observed"
+    force_per_phase(monkeypatch)
+    assert_parity(observed, hypercall_exports_observed_late())
+
+
+def test_a_fault_injector_keeps_every_switch_per_phase(monkeypatch):
+    """The injector counts ws.after-save and ws.before-restore at real
+    EL2 too, so with one attached each L0 switch runs phase by phase:
+    one hypercall is two switches, two hits at each point."""
+    ran = count_compiled_switches(monkeypatch)
+    suite = make_microbench("arm-vm")
+    del ran[:]
+    injector = FaultInjector(FaultPlan(0, []))
+    for cpu in suite.machine.cpus:
+        cpu.fault_hook = injector
+    _l0_world_switch(suite)
+    assert not ran
+    assert injector.hits.get("ws.after-save") == 2
+    assert injector.hits.get("ws.before-restore") == 2
+
+
+def gic_sysreg_state():
+    machine = Machine(arch=ARMV8_3, l0_gic_mmio=False)
+    vm = machine.kvm.create_vm(num_vcpus=1)
+    machine.kvm.run_vcpu(vm.vcpus[0])
+    vm.vcpus[0].cpu.hvc(0)
+    vm.vcpus[0].cpu.hvc(0)
+    return machine_state(machine, vm.vcpus)
+
+
+def test_system_register_l0_gic_runs_per_phase(monkeypatch):
+    """L0 with a GICv3 system-register vGIC does not compile (reject
+    rather than approximate) and matches its per-phase run."""
+    ran = count_compiled_switches(monkeypatch)
+    default = gic_sysreg_state()
+    assert not ran
+    force_per_phase(monkeypatch)
+    assert_parity(default, gic_sysreg_state())
+
+
+def test_vhe_l0_switch_does_not_compile():
+    """A VHE L0's EL1 context moves through *_EL12 aliases, which no
+    block compiles."""
+    cpu = Machine(arch=ARMV8_4).cpus[0]
+    categories = ("world_switch", "world_switch")
+    assert cpu.compile_switch(ws.host_switch_program(True, True), True,
+                              categories) is None
+    assert cpu.compile_switch(ws.host_switch_program(False, True), False,
+                              categories) is not None
+
+
+def test_edited_el1_state_recompiles_the_switch(monkeypatch):
+    """The compiled switch follows an EL1_STATE edit like the per-phase
+    runner does, and the edit moves its cycles."""
+    baseline = microbench_state("arm-nested", "hypercall")
+    monkeypatch.setattr(ws, "EL1_STATE", ws.EL1_STATE[:-1])
+    ran = count_compiled_switches(monkeypatch)
+    compiled = microbench_state("arm-nested", "hypercall")
+    assert ran
+    assert compiled["result"][0] != baseline["result"][0]
+    force_per_phase(monkeypatch)
+    assert_parity(compiled, microbench_state("arm-nested", "hypercall"))
+
+
+# ---------------------------------------------------------------------------
+# Seeded violations in the compiled switch: the parity helper must fail
+# ---------------------------------------------------------------------------
+
+def per_phase_and_violated(monkeypatch, violate, config="arm-vm"):
+    """The per-phase state, then the state with *violate* applied to the
+    compiled switch."""
+    with monkeypatch.context() as patch:
+        force_per_phase(patch)
+        expected = microbench_state(config, "hypercall")
+    violate()
+    ran = count_compiled_switches(monkeypatch)
+    observed = microbench_state(config, "hypercall")
+    assert ran, "no compiled switch ran"
+    return observed, expected
+
+
+def test_switch_parity_catches_an_extra_cycle(monkeypatch):
+    run_switch = Cpu.run_switch
+
+    def one_more(self, switch, structs, vcpu):
+        run_switch(self, switch, structs, vcpu)
+        self.ledger.charge(1, "sysreg")
+
+    observed, expected = per_phase_and_violated(
+        monkeypatch, lambda: monkeypatch.setattr(Cpu, "run_switch",
+                                                 one_more))
+    with pytest.raises(AssertionError):
+        assert_parity(observed, expected)
+
+
+class _ChargeLog:
+    def __init__(self):
+        self.charges = []
+
+    def charge(self, cycles, category="other"):
+        self.charges.append((cycles, category))
+
+
+def test_switch_parity_catches_first_charges_swapped(monkeypatch):
+    """The same cycles, with the first two categories' charges swapped:
+    on the boot switch into the guest they are new to the ledger, so
+    its category order changes."""
+    run_switch = Cpu.run_switch
+
+    def swapped(self, switch, structs, vcpu):
+        ledger, log = self.ledger, _ChargeLog()
+        self.ledger = log
+        try:
+            run_switch(self, switch, structs, vcpu)
+        finally:
+            self.ledger = ledger
+        charges = log.charges
+        charges[0], charges[1] = charges[1], charges[0]
+        for cycles, category in charges:
+            ledger.charge(cycles, category)
+
+    observed, expected = per_phase_and_violated(
+        monkeypatch, lambda: monkeypatch.setattr(Cpu, "run_switch",
+                                                 swapped))
+    assert observed["result"] == expected["result"]  # same totals...
+    with pytest.raises(AssertionError):
+        assert_parity(observed, expected)  # ...in the wrong order
+
+
+def test_switch_parity_catches_a_dropped_register_move(monkeypatch):
+    copy_from = RegisterFile.copy_from
+
+    def drop_last(self, other, names, own_names=None):
+        copy_from(self, other, names[:-1],
+                  None if own_names is None else own_names[:-1])
+
+    observed, expected = per_phase_and_violated(
+        monkeypatch, lambda: monkeypatch.setattr(RegisterFile, "copy_from",
+                                                 drop_last))
+    with pytest.raises(AssertionError):
+        assert_parity(observed, expected)
 
 
 # ---------------------------------------------------------------------------

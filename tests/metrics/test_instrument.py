@@ -109,6 +109,21 @@ class TestMigrationParity:
         assert ('repro_traps_total{config="neve-nested",reason="eret"}'
                 not in before)
 
+    def test_reconcile_reads_only_its_own_config_on_a_shared_registry(
+            self):
+        """Two configs in one registry: each machine reconciles against
+        its own config's series, not the whole family."""
+        registry = MetricsRegistry()
+        suites = [_run_suite(name, registry, iterations=1)
+                  for name in ("arm-nested", "neve-nested")]
+        for suite in suites:
+            machine = suite.machine
+            report = check_metrics_reconcile(machine, machine.metrics)
+            assert report.passed, [violation.message
+                                   for violation in report.violations]
+        assert registry.get("repro_traps_total").total() \
+            == sum(suite.machine.traps.total for suite in suites)
+
     def test_reconcile_records_a_missing_family(self):
         """A registry without the mirror families is two violations,
         not an AttributeError."""
