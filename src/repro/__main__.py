@@ -30,10 +30,6 @@ SUBCOMMANDS = (
      "supervised multi-process campaign fleet: crash/hang recovery, "
      "quarantine, deterministic merge, flight recorder and live "
      "telemetry (--chaos for the hostile mode)"),
-    ("profile", "repro.profile.cli",
-     "host-time profiler and dispatch-redundancy observatory: phase "
-     "tables, flamegraphs, hotspot diffs (--diff) and the "
-     "repro-profile/1 schema gate (--validate)"),
 )
 
 

@@ -5,8 +5,7 @@ the spec-conformance checker, the AST lint over the ``repro`` package
 sources, the sanitized exit-multiplication smoke scenario, the
 telemetry-registry checks (``san-metrics-reconcile``,
 ``san-metrics-ledger``), the fleet merge-determinism check
-(``san-fleet-merge``), the host-profiler invisibility check
-(``san-profile-zero-cycles``), the dispatch fast-path parity check
+(``san-fleet-merge``), the dispatch fast-path parity check
 (``san-fastpath-parity``), and the doc lint (``doc-link``,
 ``doc-subcommand``) over ``README.md`` and ``docs/``.  Any finding
 fails the run (exit status 1), which is what CI keys on.
@@ -26,7 +25,6 @@ Usage::
     python -m repro lint --no-metrics     # skip the registry checks
     python -m repro lint --no-docs        # skip the doc lint
     python -m repro lint --no-fleet       # skip the san-fleet-merge check
-    python -m repro lint --no-profile     # skip san-profile-zero-cycles
     python -m repro lint --no-fastpath    # skip san-fastpath-parity
     python -m repro lint --no-statecheck  # skip the shared-state passes
     python -m repro lint --statecheck     # shardability report only
@@ -70,9 +68,6 @@ def build_parser():
     parser.add_argument("--no-fleet", action="store_true",
                         help="skip the fleet merge-determinism check "
                              "(san-fleet-merge)")
-    parser.add_argument("--no-profile", action="store_true",
-                        help="skip the host-profiler invisibility check "
-                             "(san-profile-zero-cycles)")
     parser.add_argument("--no-fastpath", action="store_true",
                         help="skip the dispatch fast-path parity check "
                              "(san-fastpath-parity)")
@@ -185,13 +180,6 @@ def main(argv=None):
         report = check_fleet_merge()
         findings.extend(report.violations)
         passes.append(("fleet-merge[%d checks]" % report.checks,
-                       len(report.violations)))
-
-    if not args.no_profile:
-        from repro.analysis.sanitizer import check_profile_zero_cycles
-        report = check_profile_zero_cycles()
-        findings.extend(report.violations)
-        passes.append(("profile-zero-cycles[%d checks]" % report.checks,
                        len(report.violations)))
 
     if not args.no_fastpath:

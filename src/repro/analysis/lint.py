@@ -49,6 +49,8 @@ _DICT_MUTATORS = {"clear", "pop", "popitem", "update", "setdefault"}
 #: random-module attributes that do NOT touch the global generator.
 _RANDOM_SAFE = {"Random", "SystemRandom"}
 _REGFILE_ATTRS = {"el1_regs", "el2_regs"}
+#: RegisterFile methods that change a bank's values.
+_REGFILE_MUTATORS = {"write", "write_many", "put_many", "copy_from"}
 
 
 def _attr_chain(node):
@@ -98,11 +100,11 @@ class _InvariantVisitor(ast.NodeVisitor):
     def visit_Call(self, node):
         func = node.func
         chain = _attr_chain(func)
-        if chain[-1:] == ("write",) and len(chain) >= 2 \
+        if len(chain) >= 2 and chain[-1] in _REGFILE_MUTATORS \
                 and chain[-2] in _REGFILE_ATTRS:
             self._flag("sim-sysreg-bypass", node,
-                       "direct %s.write() bypasses cpu.msr trap "
-                       "accounting" % chain[-2])
+                       "direct %s.%s() bypasses cpu.msr trap "
+                       "accounting" % chain[-2:])
         elif len(chain) == 2 and chain[0] == "time" \
                 and chain[1] in _TIME_FUNCS:
             self._flag("sim-nondeterminism", node,

@@ -363,107 +363,6 @@ def check_metrics_ledger(report=None, mode="neve", hypercalls=2):
     return report
 
 
-def _profile_scenario(mode, hypercalls, attach_profiler):
-    """The ``san-profile-zero-cycles`` scenario: the metrics scenario
-    with a tracer attached too, optionally run under the host profiler.
-
-    Returns ``(machine, metrics, trace_json, profiler_or_None)`` —
-    *trace_json* is the canonical serialization of the tracer's ring
-    buffer, so the check can demand the traced spans themselves are
-    byte-identical with and without profiling.
-    """
-    import json as _json
-
-    from repro.harness.configs import ALL_CONFIGS, arm_arch_for
-    from repro.hypervisor.kvm import Machine
-    from repro.metrics.cycles import ARM_COSTS
-    from repro.metrics.instrument import MachineMetrics
-    from repro.trace.export import tracer_payload
-    from repro.trace.spans import Tracer
-
-    config = ALL_CONFIGS["arm-nested" if mode == "nv" else "neve-nested"]
-    machine = Machine(arch=arm_arch_for(config), costs=ARM_COSTS)
-    metrics = MachineMetrics(config=config.name)
-    metrics.attach_machine(machine)
-    metrics.registry.clock = lambda: machine.ledger.total
-    tracer = Tracer()
-    tracer.attach_machine(machine)
-    profiler = None
-    if attach_profiler:
-        from repro.profile.profiler import HostProfiler
-        profiler = HostProfiler()
-        profiler.attach_machine(machine, config=config.name)
-        profiler.start()
-    try:
-        vm = machine.kvm.create_vm(num_vcpus=1, nested=mode)
-        machine.kvm.boot_nested(vm.vcpus[0])
-        for _ in range(hypercalls):
-            vm.vcpus[0].cpu.hvc(0)
-    finally:
-        if profiler is not None:
-            profiler.stop()
-            profiler.detach_machine()
-    tracer.stop()
-    trace_json = _json.dumps(tracer_payload(tracer), sort_keys=True,
-                             separators=(",", ":"))
-    return machine, metrics, trace_json, profiler
-
-
-def check_profile_zero_cycles(report=None, mode="neve", hypercalls=2):
-    """``san-profile-zero-cycles``: host profiling must be invisible to
-    the simulation.
-
-    Runs the same seeded scenario twice — host profiler attached and
-    absent — and demands identical ledger totals, trap counts, and
-    byte-identical metrics and trace exports (profiling measures host
-    time and dispatch redundancy; it never charges a virtual cycle or
-    perturbs an outcome).  Then builds the profile document itself and
-    demands *that* charged nothing either.
-    """
-    if report is None:
-        report = SanitizerReport()
-    bare_machine, bare_metrics, bare_trace, _ = _profile_scenario(
-        mode, hypercalls, attach_profiler=False)
-    machine, metrics, trace_json, profiler = _profile_scenario(
-        mode, hypercalls, attach_profiler=True)
-    report.record(
-        machine.ledger.total == bare_machine.ledger.total,
-        "san-profile-zero-cycles",
-        "profiling changed simulated time: ledger %d with profiler, "
-        "%d without" % (machine.ledger.total, bare_machine.ledger.total))
-    report.record(
-        machine.traps.total == bare_machine.traps.total,
-        "san-profile-zero-cycles",
-        "profiling changed trap behaviour: %d traps with profiler, "
-        "%d without" % (machine.traps.total, bare_machine.traps.total))
-    report.record(
-        metrics.registry.json_snapshot()
-        == bare_metrics.registry.json_snapshot(),
-        "san-profile-zero-cycles",
-        "profiling changed the metrics JSON export")
-    report.record(
-        metrics.registry.prometheus_text()
-        == bare_metrics.registry.prometheus_text(),
-        "san-profile-zero-cycles",
-        "profiling changed the Prometheus export")
-    report.record(
-        trace_json == bare_trace,
-        "san-profile-zero-cycles",
-        "profiling changed the traced spans")
-    from repro.profile.export import profile_document, validate_profile
-    mark = machine.ledger.snapshot()
-    document = profile_document(profiler, scenario="san-profile")
-    problems = validate_profile(document)
-    report.record(
-        not problems, "san-profile-zero-cycles",
-        "profile document fails its own schema: %s" % "; ".join(problems))
-    report.record(
-        machine.ledger.since(mark) == 0, "san-profile-zero-cycles",
-        "exporting the profile charged the ledger: +%d cycles"
-        % machine.ledger.since(mark))
-    return report
-
-
 def check_fleet_merge(report=None, machines=3, seed=0):
     """``san-fleet-merge``: the fleet merge must be order-blind.
 
@@ -485,8 +384,7 @@ def check_fleet_merge(report=None, machines=3, seed=0):
     plan = FleetPlan.generate(seed, machines, shard_size=1)
     payloads = []
     for shard in plan.shards:
-        records, metrics_document, traces, _ = run_shard(shard,
-                                                         trace=True)
+        records, metrics_document, traces = run_shard(shard, trace=True)
         payloads.append((shard.shard_id, records, metrics_document,
                          traces))
 
@@ -536,7 +434,7 @@ def check_fleet_merge(report=None, machines=3, seed=0):
 
 def _fastpath_scenario(mode, hypercalls, fastpath, guest_vhe=False):
     """One nested boot + hypercall scenario with the dispatch fast path
-    forced on or off, instrumented like :func:`_profile_scenario`.
+    forced on or off, with a metrics facade and a tracer attached.
 
     Returns ``(machine, metrics, trace_json)``.
     """

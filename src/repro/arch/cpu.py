@@ -319,31 +319,20 @@ class Cpu:
         # replaces the classification ladder.  None (the default for
         # bare Cpu instances) keeps the reference ladder below.
         self.dispatch = dispatch
-        # Per-CPU verdict cache over the table, keyed
-        # (context, name, encoding, is_write) — the same shape as the
-        # redundancy observatory's classification keys.  The context
-        # codes are NEVE-blind, so the cache MUST be invalidated
-        # whenever the hardware VNCR_EL2 enable state may have changed
-        # (see invalidate_verdict_cache).
+        # Per-CPU verdict cache over the table, keyed (context, name,
+        # encoding, is_write).  The context codes are NEVE-blind, so the
+        # cache MUST be invalidated whenever the hardware VNCR_EL2
+        # enable state may have changed (see invalidate_verdict_cache).
         self._verdicts = {}
         self._neve_verdict_state = None  # cached neve_enabled, or None
-
-        # Optional dispatch-redundancy observatory binding
-        # (repro.profile.redundancy.MachineRedundancy).  Counts how
-        # often the classification ladder and the trap path re-derive
-        # the same decision so the host profiler can project what a
-        # precompiled dispatch table would save.  Observe-only, never
-        # charges the ledger, disabled path is one attribute check
-        # (enforced by san-profile-zero-cycles).
-        self.redundancy = None
 
         # Compiled register blocks (see compile_block), keyed by
         # (host_e2h, the sequence's key as its caller names it by value).
         # None marks a sequence the compiler rejected.
         self._blocks = {}
-        # Compiled world switches (see compile_switch), keyed like
-        # _blocks by the switch program's value.  None marks a rejected
-        # program.
+        # Compiled world switches (see compiled_switch), keyed by the
+        # switch program's identity; each entry is (program, switch),
+        # with None for a switch the compiler rejected.
         self._switches = {}
 
     # ------------------------------------------------------------------
@@ -606,23 +595,12 @@ class Cpu:
             # access does — hardware register or deferred page).
             value = hook.filter_sysreg_write(self, reg, value)
 
-        # The redundancy observatory needs the resolution context as it
-        # was *before* the access: a trapping access world-switches
-        # underneath us while the handler runs.
-        redundancy = self.redundancy
-        context = (redundancy.context_key(self)
-                   if redundancy is not None else None)
-
         if self.current_el == ExceptionLevel.EL2:
             result = self._access_at_el2(reg, is_write, value, enc)
         elif self.at_virtual_el2:
             result = self._access_at_virtual_el2(reg, is_write, value, enc)
         else:
             result = self._access_at_guest_el1(reg, is_write, value, enc)
-
-        if redundancy is not None:
-            redundancy.note_classification(context, reg.name, enc,
-                                           is_write, result[1])
 
         if hook is not None:
             if not is_write:
@@ -639,9 +617,9 @@ class Cpu:
         """Table-driven twin of the slow path above.
 
         Effect ordering is identical by construction: pre-charge UNDEF
-        -> ledger charge -> fault-hook write filter -> redundancy
-        context snapshot -> mechanism (which may raise a post-charge
-        UNDEF) -> redundancy note -> fault-hook read filter / SError.
+        -> ledger charge -> fault-hook write filter -> mechanism (which
+        may raise a post-charge UNDEF) -> fault-hook read filter /
+        SError.
         Only the *decision* is precompiled; every mechanism runs the
         same code the ladder would have called.
         """
@@ -667,10 +645,6 @@ class Cpu:
         if hook is not None and is_write:
             value = hook.filter_sysreg_write(self, reg, value)
 
-        redundancy = self.redundancy
-        context = (redundancy.context_key(self)
-                   if redundancy is not None else None)
-
         if op == OP_HW:
             _op, bank_is_el2, target, kind = action
             regfile = self.el2_regs if bank_is_el2 else self.el1_regs
@@ -688,10 +662,6 @@ class Cpu:
             result = self._gic_cpu_access(reg, is_write, value)
         else:  # OP_UNDEF: a ladder-level UNDEF, after the charge.
             raise UndefinedInstruction(reg.name, is_write)
-
-        if redundancy is not None:
-            redundancy.note_classification(context, reg.name, enc,
-                                           is_write, result[1])
 
         if hook is not None:
             if not is_write:
@@ -737,18 +707,15 @@ class Cpu:
         """May a compiled register block stand in for per-access
         execution right now?
 
-        Only at real EL2, where no access can trap or defer, and only
-        without the redundancy observatory, which counts every
-        classification.  Every other attached consumer is inert for
-        these accesses by its own code: the fault injector's
-        ``cpu.msr``/``cpu.mrs``/``cpu.serror`` points return before
-        counting unless the CPU is at virtual EL2, the sanitizer checks
-        only virtual-EL2 accesses and EL2 ``*_EL12``/``*_EL02`` aliases
-        (which never compile), and the tracer's and metrics' ledger
-        hooks only add cycles to the open span or counter.
+        Only at real EL2, where no access can trap or defer.  Every
+        attached consumer is inert for these accesses by its own code:
+        the fault injector's ``cpu.msr``/``cpu.mrs``/``cpu.serror``
+        points return before counting unless the CPU is at virtual EL2,
+        the sanitizer checks only virtual-EL2 accesses and EL2
+        ``*_EL12``/``*_EL02`` aliases (which never compile), and the
+        tracer and metrics only read the ledger's totals.
         """
-        return self.current_el == ExceptionLevel.EL2 and \
-            self.redundancy is None
+        return self.current_el == ExceptionLevel.EL2
 
     def register_block(self, key, build):
         """This CPU's compiled block for the sequence named *key*, or
@@ -861,27 +828,30 @@ class Cpu:
         * a metrics facade observes one phase histogram per phase;
         * a fault injector counts ``ws.after-save``, ``ws.before-restore``
           and ``ws.vgic-lr`` hits (``FaultInjector.at_point`` and
-          ``filter_lr_save``) without checking the exception level;
-        * the ledger's profile sink sees every charge.
+          ``filter_lr_save``) without checking the exception level.
         """
         return (self.tracer is None and self.metrics is None
-                and self.fault_hook is None
-                and self.ledger.profile_sink is None and self.block_eligible())
+                and self.fault_hook is None and self.block_eligible())
 
     def compiled_switch(self, program, vhe, structs):
         """This CPU's compiled switch for *program* run with *structs*
         (the vcpu structs its slots name), or None when it does not
-        compile.  Keyed, like :meth:`register_block`, by the program's
-        value, so an edited register list compiles afresh; compiled on
-        first use, for this CPU's architecture and cost model."""
+        compile; compiled on first use, for this CPU's architecture and
+        cost model.
+
+        Keyed by the program object, not its value: the hypervisor
+        builds one program per direction and stage-2 base from the
+        register lists as they stand then and reuses it, so hashing
+        the whole program on every switch would buy nothing.  The entry
+        keeps its program alive and is matched with ``is``, so a reused
+        ``id`` never hits."""
         categories = tuple([struct.category for struct in structs])
-        key = (self.host_e2h, vhe, categories, program)
-        try:
-            return self._switches[key]
-        except KeyError:
-            switch = self._switches[key] = self.compile_switch(
-                program, vhe, categories)
-            return switch
+        key = (self.host_e2h, vhe, categories, id(program))
+        entry = self._switches.get(key)
+        if entry is None or entry[0] is not program:
+            entry = self._switches[key] = (
+                program, self.compile_switch(program, vhe, categories))
+        return entry[1]
 
     def compile_switch(self, program, vhe, categories):
         """Compile one direction's switch *program* (see ``SWITCH_*``)
@@ -1273,9 +1243,6 @@ class Cpu:
                 "recursive trap while handling a trap at EL2: %s"
                 % syndrome.describe())
         self.traps.record(reason)
-        redundancy = self.redundancy
-        if redundancy is not None:
-            redundancy.note_trap(self, reason)
         # One trap span per TrapCounter.record: traps the handler causes
         # while emulating this one nest through the call stack, so the
         # span tree's trap count is the exit-multiplication factor.

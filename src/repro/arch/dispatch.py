@@ -1,14 +1,11 @@
 """Precompiled system-register dispatch tables (the trap-dispatch fast
 path).
 
-The redundancy observatory (:mod:`repro.profile.redundancy`) measured
-that for a fixed (config, register, context, encoding, op) key the
+For a fixed (config, register, context, encoding, op) key the
 classification ladder in :mod:`repro.arch.cpu` re-derives the same
-verdict on essentially every access — projecting >99% table-hit rates
-on the NEVE configurations.  This module is the consumer of that
-projection: it compiles the ladder's decisions into a flat
-``(context, neve, register, encoding, op) -> action`` table that the
-hot loop answers with one dictionary lookup.
+verdict on every access.  This module compiles the ladder's decisions
+into a flat ``(context, neve, register, encoding, op) -> action`` table
+that the hot loop answers with one dictionary lookup.
 
 Resolution is **partial evaluation of the real ladder**, not a
 re-implementation: a probe CPU subclass intercepts the four access

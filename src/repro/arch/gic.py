@@ -225,7 +225,7 @@ class Gic:
         misr = underflow if (hcr & 0x2) else 0  # UIE -> MISR.U
         # The GIC computes these itself (a device model's own state);
         # they are bit masks well inside 64 bits.
-        cpu.el2_regs.put_many(_STATUS_REGS, (elrsr, eisr, misr))
+        cpu.el2_regs.put_many(_STATUS_REGS, (elrsr, eisr, misr))  # lint: allow(sim-sysreg-bypass)
 
     # ------------------------------------------------------------------
     # Virtual CPU interface (VM side; never traps)

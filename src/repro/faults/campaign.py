@@ -132,7 +132,7 @@ class CampaignResult:
 
 
 def run_campaign(seed, trace=False, cpus=1, interleave="roundrobin",
-                 metrics=None, profiler=None):
+                 metrics=None):
     """Run one seeded campaign end to end; returns a CampaignResult.
 
     ``cpus`` boots that many pinned vCPUs with independent seed-split
@@ -151,12 +151,6 @@ def run_campaign(seed, trace=False, cpus=1, interleave="roundrobin",
     every simulated machine its own ``config`` label in a shared
     registry.  Telemetry is observe-only (``san-metrics-ledger``), so
     the digest is unchanged.
-
-    ``profiler`` optionally arms a
-    :class:`~repro.profile.profiler.HostProfiler`'s redundancy
-    observatory on the machine (the caller owns the profiling window
-    itself).  Observe-only like the other hooks
-    (``san-profile-zero-cycles``), so the digest is unchanged.
     """
     if cpus < 1:
         raise ValueError("cpus must be >= 1")
@@ -166,8 +160,6 @@ def run_campaign(seed, trace=False, cpus=1, interleave="roundrobin",
         num_cpus=cpus, costs=ARM_COSTS)
     if metrics is not None:
         metrics.attach_machine(machine)
-    if profiler is not None:
-        profiler.attach_machine(machine, config="campaign-seed-%d" % seed)
     vm = machine.kvm.create_vm(num_vcpus=cpus, nested="neve")
 
     monitor = MachineIntegrityMonitor(machine.memory).install()

@@ -10,14 +10,9 @@ Live telemetry rides the same event stream the supervisor journals:
 ``--watch`` renders every decision to stderr as it happens,
 ``--flight-recorder DIR`` writes the ``repro-flight/1`` JSONL journal
 (and the run replays it afterwards — the journal must reproduce the
-live accounting or the run fails), ``--trace-out FILE`` collects
-per-machine trace ring buffers and writes the stitched fleet-wide
-Chrome/Perfetto trace, and ``--profile`` arms the host profiler
-(:mod:`repro.profile`) in every worker — the per-shard host-time and
-redundancy documents fold through the same deterministic merge path
-into one fleet-wide ``repro-profile/1`` document (``--profile-out``),
-which never participates in the digest or ``--verify`` byte
-comparisons because host time is nondeterministic.
+live accounting or the run fails), and ``--trace-out FILE``
+collects per-machine trace ring buffers and writes the stitched
+fleet-wide Chrome/Perfetto trace.
 
 Exit status: 0 when the books balance and every merged machine was
 clean (quarantines are expected — and tolerated — only under
@@ -110,13 +105,6 @@ def build_parser():
                         help="collect per-machine trace ring buffers "
                              "and write the stitched fleet-wide "
                              "Chrome/Perfetto trace to FILE")
-    parser.add_argument("--profile", action="store_true",
-                        help="run every worker under the host profiler "
-                             "and fold the per-shard host-time and "
-                             "redundancy documents through the merge")
-    parser.add_argument("--profile-out", metavar="FILE", default=None,
-                        help="write the fleet-wide repro-profile/1 "
-                             "document to FILE (implies --profile)")
     parser.add_argument("--out", metavar="FILE", default=None,
                         help="write the fleet digest document "
                              "(repro-fleet/1 JSON) to FILE")
@@ -138,14 +126,12 @@ def main(argv=None):
         return 2
     chaos = (ChaosPlan.generate(args.seed, len(plan.shards))
              if args.chaos else None)
-    profile = args.profile or args.profile_out is not None
     config = FleetConfig(workers=args.workers,
                          shard_timeout_s=args.timeout,
                          heartbeat_timeout_s=args.heartbeat_timeout,
                          max_retries=args.retries,
                          backoff_base_s=args.backoff,
-                         trace=args.trace_out is not None,
-                         profile=profile)
+                         trace=args.trace_out is not None)
 
     recorder = None
     journal_path = None
@@ -190,8 +176,6 @@ def main(argv=None):
         except ValueError as exc:
             print("fleet: TRACE FAILED: %s" % exc, file=sys.stderr)
             status = max(status, 1)
-    if profile:
-        status = max(status, _report_profile(result, args.profile_out))
     if args.verify:
         status = max(status, _verify(plan, result))
     if args.out is not None:
@@ -256,27 +240,6 @@ def _check_replay(journal_path, result):
     print("flight: journal %s replays to the live accounting "
           "(%d events, %d protocol errors)"
           % (journal_path, replayed.events, replayed.protocol_errors))
-    return 0
-
-
-def _report_profile(result, out_path):
-    """Summarize the fleet-wide host profile and optionally write it.
-    A profile-armed fleet whose merge carries no profile (e.g. a shard
-    quarantined) is reported, not failed — the books already cover it."""
-    merge = result.merge
-    if merge is None or merge.profile is None:
-        print("fleet: no fleet-wide profile (not every merged shard "
-              "carried one)")
-        return 0
-    from repro.profile.export import render_redundancy, write_json
-    document = merge.profile
-    print("profile: %d shards folded, host %.1f ms across %d phases"
-          % (document["meta"]["merged"], document["wall_ns"] / 1e6,
-             len(document["phases"])))
-    print(render_redundancy(document, top=0))
-    if out_path is not None:
-        write_json(document, out_path)
-        print("fleet: wrote %s" % out_path)
     return 0
 
 

@@ -33,15 +33,10 @@ from repro.trace.export import verify_machine_trace
 class FleetMerge:
     """The folded outcome of every completed shard."""
 
-    def __init__(self, records, registry, traces=None, profile=None):
+    def __init__(self, records, registry, traces=None):
         self.records = records  # machine-index sorted
         self.registry = registry
         self.traces = traces    # machine_index -> trace payload, or None
-        #: Fleet-wide ``repro-profile/1`` document folded from the
-        #: per-shard host profiles (profile runs), else None.  Host time
-        #: is nondeterministic, so the profile deliberately stays out of
-        #: the digest and every deterministic export above.
-        self.profile = profile
 
     # -- exports ---------------------------------------------------------
 
@@ -103,25 +98,21 @@ class FleetMerge:
 def merge_payloads(payloads):
     """Fold completed shard payloads into a :class:`FleetMerge`.
 
-    *payloads* is an iterable of ``(shard_id, records, metrics_document)``,
-    ``(shard_id, records, metrics_document, traces)`` or ``(shard_id,
-    records, metrics_document, traces, profile)`` tuples in any order —
-    the fold sorts, so two merges over the same completed set are
-    byte-identical no matter how the shards were scheduled.  Trace and
-    profile payloads merge only when every completed shard carried them
-    (a partially instrumented fleet is a configuration bug, surfaced as
-    None).  The folded profile rides on :attr:`FleetMerge.profile` and
-    never enters the digest or the deterministic exports.
+    *payloads* is an iterable of ``(shard_id, records, metrics_document)``
+    or ``(shard_id, records, metrics_document, traces)`` tuples in any
+    order — the fold sorts, so two merges over the same completed set
+    are byte-identical no matter how the shards were scheduled.  Trace
+    payloads merge only when every completed shard carried them (a
+    partially traced fleet is a configuration bug, surfaced as None).
     """
     normalized = []
     for item in payloads:
         shard_traces = item[3] if len(item) > 3 else None
-        shard_profile = item[4] if len(item) > 4 else None
         shard_id, records, metrics_document = item[:3]
         normalized.append((shard_id, records, metrics_document,
-                           shard_traces, shard_profile))
+                           shard_traces))
     normalized.sort(key=lambda item: item[0])
-    records = sorted((record for _, shard_records, _, _, _ in normalized
+    records = sorted((record for _, shard_records, _, _ in normalized
                       for record in shard_records),
                      key=lambda record: record["machine"])
     seen = [record["machine"] for record in records]
@@ -131,23 +122,18 @@ def merge_payloads(payloads):
 
     registry = MetricsRegistry()
     _register_rollup(registry, records)
-    for _, _, metrics_document, _, _ in normalized:
+    for _, _, metrics_document, _ in normalized:
         registry.merge_snapshot(metrics_document)
     total = sum(record["cycles"] for record in records)
     registry.clock = lambda: total
 
     traces = None
-    if normalized and all(t is not None for _, _, _, t, _ in normalized):
+    if normalized and all(t is not None for _, _, _, t in normalized):
         traces = {}
-        for _, _, _, shard_traces, _ in normalized:
+        for _, _, _, shard_traces in normalized:
             for machine_index, payload in shard_traces.items():
                 traces[int(machine_index)] = payload
-    profile = None
-    if normalized and all(p is not None for *_, p in normalized):
-        from repro.profile.export import merge_profiles
-        profile = merge_profiles(
-            [p for *_, p in normalized], scenario="fleet")
-    return FleetMerge(records, registry, traces=traces, profile=profile)
+    return FleetMerge(records, registry, traces=traces)
 
 
 def _register_rollup(registry, records):
@@ -224,22 +210,20 @@ def merge_traces(records, traces):
             "otherData": meta}
 
 
-def reference_merge(plan, shard_ids=None, trace=False, profile=False):
+def reference_merge(plan, shard_ids=None, trace=False):
     """The in-process sequential reference: run the plan's shards (all,
     or just *shard_ids* — e.g. the set that completed under chaos) one
     after another in shard order, then fold through the identical merge
     path.  A supervised run over the same completed set must export
     byte-identical Prometheus text, JSON, digest — and, with ``trace``,
-    the same stitched fleet trace.  (*profile* only decorates the merge
-    with a host-time document; it is never part of the byte comparison.)
+    the same stitched fleet trace.
     """
     wanted = None if shard_ids is None else set(shard_ids)
     payloads = []
     for shard in plan.shards:
         if wanted is not None and shard.shard_id not in wanted:
             continue
-        records, metrics_document, traces, profile_doc = run_shard(
-            shard, trace=trace, profile=profile)
+        records, metrics_document, traces = run_shard(shard, trace=trace)
         payloads.append((shard.shard_id, records, metrics_document,
-                         traces, profile_doc))
+                         traces))
     return merge_payloads(payloads)

@@ -65,7 +65,6 @@ class FleetConfig:
     poll_interval_s: float = 0.02      # supervisor loop tick
     stall_seconds: float = STALL_SECONDS  # chaos stall length
     trace: bool = False                # collect per-machine trace payloads
-    profile: bool = False              # collect per-shard host profiles
 
     def backoff_for(self, failure_count):
         """Delay before the retry after the *failure_count*-th failure:
@@ -98,7 +97,6 @@ class ShardState:
     records: list = None
     metrics_document: dict = None
     traces: dict = None  # machine_index -> trace payload (trace runs)
-    profile: dict = None  # repro-profile/1 document (profile runs)
 
     @property
     def shard_id(self):
@@ -285,7 +283,7 @@ class Supervisor:
 
         merge = merge_payloads(
             (state.shard_id, state.records, state.metrics_document,
-             state.traces, state.profile)
+             state.traces)
             for state in states
             if state.verdict in ("completed", "retried"))
         self._emit("merge", digest=merge.digest,
@@ -311,8 +309,7 @@ class Supervisor:
         proc = self._ctx.Process(
             target=worker_entry,
             args=(child_conn, state.shard, state.attempts, action.value,
-                  self.config.stall_seconds, self.config.trace,
-                  self.config.profile),
+                  self.config.stall_seconds, self.config.trace),
             daemon=True)
         proc.start()
         child_conn.close()  # the worker holds the only send end now
@@ -427,9 +424,7 @@ class Supervisor:
         records = message.get("records")
         metrics_document = message.get("metrics")
         traces = message.get("traces")
-        profile = message.get("profile")
-        checksum = payload_checksum(records, metrics_document, traces,
-                                    profile)
+        checksum = payload_checksum(records, metrics_document, traces)
         self._emit("result", shard=state.shard_id,
                    attempt=state.attempts - 1,
                    machines=len(records or ()),
@@ -450,7 +445,6 @@ class Supervisor:
         state.records = records
         state.metrics_document = metrics_document
         state.traces = traces
-        state.profile = profile
         return None
 
     def _register_failure(self, attempt, failure):
@@ -466,7 +460,6 @@ class Supervisor:
             state.records = None
             state.metrics_document = None
             state.traces = None
-            state.profile = None
             self._emit("quarantine", shard=state.shard_id,
                        failures=len(state.failures))
             return None

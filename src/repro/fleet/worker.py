@@ -24,13 +24,9 @@ Protocol on the pipe (dicts, one per ``send``), in order per machine:
   movement this machine caused (folding every delta through
   ``merge_snapshot`` reproduces the final metrics document).
 * ``{"type": "result", "records": [...], "metrics": {...},
-  "traces": {...}|None, "profile": {...}|None,
-  "checksum": <sha256 hex>}`` — exactly once, last.  Only this message
-  feeds the merge; progress events are telemetry, so a later failure
-  of the attempt never half-merges.  ``profile`` carries the shard's
-  ``repro-profile/1`` host-time document on ``profile=True`` runs; it
-  is checksummed like everything else but never folded into the
-  deterministic exports (host time is nondeterministic by nature).
+  "traces": {...}|None, "checksum": <sha256 hex>}`` — exactly once,
+  last.  Only this message feeds the merge; progress events are
+  telemetry, so a later failure of the attempt never half-merges.
 
 Everything a worker computes is a pure function of the shard's seeds;
 the in-process sequential reference calls the same :func:`run_shard`,
@@ -98,107 +94,82 @@ def machine_verdict(record):
     return "clean"
 
 
-def payload_checksum(records, metrics_document, traces=None,
-                     profile=None):
-    """sha256 over the canonical JSON of the result payload (trace and
-    profile payloads are covered too when the shard collected them —
-    keys are added only when present, so checksums of runs without
-    them are unchanged)."""
+def payload_checksum(records, metrics_document, traces=None):
+    """sha256 over the canonical JSON of the result payload (trace
+    payloads are covered too when the shard collected them — the key is
+    added only when present, so checksums of runs without it are
+    unchanged)."""
     body = {"records": records, "metrics": metrics_document}
     if traces is not None:
         body["traces"] = traces
-    if profile is not None:
-        body["profile"] = profile
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def run_machine(assignment, registry=None, trace=False, profiler=None):
+def run_machine(assignment, registry=None, trace=False):
     """Run one machine's campaign; returns ``(record, trace_payload)``.
     With *registry* the machine's telemetry lands there under its own
     config label; with ``trace=True`` the campaign runs under a
     :class:`~repro.trace.spans.Tracer` and the second element is its
-    exported ring buffer (else None); *profiler* arms the host
-    profiler's redundancy observatory on the machine.  None of them
-    change the digest — telemetry, tracing and profiling are
-    observe-only and charge zero cycles."""
+    exported ring buffer (else None).  Neither changes the digest —
+    telemetry and tracing are observe-only and charge zero cycles."""
     metrics = None
     if registry is not None:
         metrics = MachineMetrics(
             registry=registry,
             config=machine_label(assignment.machine_index))
-    result = run_campaign(assignment.seed, trace=trace, metrics=metrics,
-                          profiler=profiler)
+    result = run_campaign(assignment.seed, trace=trace, metrics=metrics)
     trace_doc = tracer_payload(result.tracer) if trace else None
     return machine_record(assignment, result), trace_doc
 
 
-def run_shard(shard, emit=None, trace=False, profile=False):
+def run_shard(shard, emit=None, trace=False):
     """Run every machine in *shard* in index order.
 
-    Returns ``(records, metrics_document, traces, profile_doc)`` — the
-    same tuple whether this runs in a worker process or inline in the
-    sequential reference (*traces* is a ``machine_index -> trace
-    payload`` dict with ``trace=True``, else None; *profile_doc* is the
-    shard's ``repro-profile/1`` document with ``profile=True``, else
-    None — stacks are not collected in fleet mode to keep the result
-    payload small).  *emit*, when given, receives the incremental event
-    stream: one enriched ``heartbeat`` before each machine and one
-    ``progress`` (verdict, counts, metrics delta) after it.
+    Returns ``(records, metrics_document, traces)`` — the same tuple
+    whether this runs in a worker process or inline in the sequential
+    reference (*traces* is a ``machine_index -> trace payload`` dict
+    with ``trace=True``, else None).  *emit*, when given, receives the
+    incremental event stream: one enriched ``heartbeat`` before each
+    machine and one ``progress`` (verdict, counts, metrics delta) after
+    it.
     """
     registry = MetricsRegistry()
     cursor = registry.delta_cursor()
     records = []
     traces = {} if trace else None
-    profiler = None
-    if profile:
-        from repro.profile.profiler import HostProfiler
-        profiler = HostProfiler(collect_stacks=False)
-        profiler.start()
     planned = len(shard.machines)
     cycles_done = 0
-    try:
-        for done, assignment in enumerate(shard.machines):
-            if emit is not None:
-                emit({"type": "heartbeat",
-                      "machine": assignment.machine_index,
-                      "machines_done": done,
-                      "cycles": cycles_done})
-            record, trace_doc = run_machine(assignment, registry=registry,
-                                            trace=trace, profiler=profiler)
-            records.append(record)
-            cycles_done += record["cycles"]
-            if trace:
-                traces[assignment.machine_index] = trace_doc
-            if emit is not None:
-                emit({"type": "progress",
-                      "machine": assignment.machine_index,
-                      "verdict": machine_verdict(record),
-                      "ok": record["ok"],
-                      "cycles": record["cycles"],
-                      "traps": record["traps"],
-                      "recoveries": sum(record["recovery_counts"].values()),
-                      "machines_done": done + 1,
-                      "machines_planned": planned,
-                      "metrics_delta": cursor.advance(
-                          virtual_cycles=cycles_done)})
-    finally:
-        if profiler is not None:
-            profiler.stop()
-            profiler.detach_machine()
-    profile_doc = None
-    if profiler is not None:
-        from repro.profile.export import profile_document
-        profile_doc = profile_document(
-            profiler, scenario="shard-%d" % shard.shard_id,
-            meta={"machines": planned})
+    for done, assignment in enumerate(shard.machines):
+        if emit is not None:
+            emit({"type": "heartbeat",
+                  "machine": assignment.machine_index,
+                  "machines_done": done,
+                  "cycles": cycles_done})
+        record, trace_doc = run_machine(assignment, registry=registry,
+                                        trace=trace)
+        records.append(record)
+        cycles_done += record["cycles"]
+        if trace:
+            traces[assignment.machine_index] = trace_doc
+        if emit is not None:
+            emit({"type": "progress",
+                  "machine": assignment.machine_index,
+                  "verdict": machine_verdict(record),
+                  "ok": record["ok"],
+                  "cycles": record["cycles"],
+                  "traps": record["traps"],
+                  "recoveries": sum(record["recovery_counts"].values()),
+                  "machines_done": done + 1,
+                  "machines_planned": planned,
+                  "metrics_delta": cursor.advance(
+                      virtual_cycles=cycles_done)})
     registry.clock = lambda: cycles_done
-    return (records, json.loads(registry.json_snapshot()), traces,
-            profile_doc)
+    return records, json.loads(registry.json_snapshot()), traces
 
 
 def worker_entry(conn, shard, attempt, chaos_action_value,
-                 stall_seconds=STALL_SECONDS, trace=False, profile=False):
+                 stall_seconds=STALL_SECONDS, trace=False):
     """Child-process entry point: run the shard, stream telemetry,
     self-sabotage if chaos says so, send exactly one result message."""
     action = ChaosAction(chaos_action_value)
@@ -225,8 +196,8 @@ def worker_entry(conn, shard, attempt, chaos_action_value,
         else:
             conn.send(message)
 
-    records, metrics_document, traces, profile_doc = run_shard(
-        shard, emit=emit, trace=trace, profile=profile)
+    records, metrics_document, traces = run_shard(
+        shard, emit=emit, trace=trace)
     # Single-machine shards never reach the mid-shard sabotage point in
     # the heartbeat hook; the transient actions still must not deliver.
     if action is ChaosAction.KILL:
@@ -234,13 +205,12 @@ def worker_entry(conn, shard, attempt, chaos_action_value,
     if action is ChaosAction.STALL:
         time.sleep(stall_seconds)
         os._exit(0)
-    checksum = payload_checksum(records, metrics_document, traces,
-                                profile_doc)
+    checksum = payload_checksum(records, metrics_document, traces)
     if action is ChaosAction.CORRUPT and records:
         # Tamper *after* checksumming: the supervisor's recomputation
         # must disagree, which is the whole point.
         records[0]["digest"] = "deadbeef" + records[0]["digest"][8:]
     conn.send({"type": "result", "records": records,
                "metrics": metrics_document, "traces": traces,
-               "profile": profile_doc, "checksum": checksum})
+               "checksum": checksum})
     conn.close()

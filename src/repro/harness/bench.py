@@ -44,15 +44,6 @@ the speedup ratio::
      "reference_wall_s": .., "fastpath_wall_s": ..,
      "reference_cycles_per_host_s": .., "fastpath_cycles_per_host_s": ..,
      "speedup": ..}
-
-``--profile`` additionally runs the sweep under the host profiler
-(:mod:`repro.profile`) and writes ``PROF_<n>.json`` (the
-``repro-profile/1`` document) and ``PROF_<n>.folded`` (collapsed-stack
-flamegraph input) next to the ``BENCH_<n>.json`` the run corresponds
-to.  Host time is nondeterministic, so the ``PROF_*`` sidecars never
-participate in the trajectory/golden byte-diffs — their filenames
-deliberately do not match ``BENCH_PATTERN`` — and profiling never
-changes the bench payload itself (``san-profile-zero-cycles``).
 """
 
 import json
@@ -87,16 +78,12 @@ def tolerance_for(config, benchmark, metric):
 
 
 def run_bench(iterations=DEFAULT_ITERATIONS, configs=None,
-              arm_costs=None, x86_costs=None, profiler=None,
-              fastpath=None, host_meter=None):
+              arm_costs=None, x86_costs=None, fastpath=None,
+              host_meter=None):
     """Measure every config x benchmark cell under one shared registry.
 
     Returns the payload dict (without a sequence number — the caller
-    assigns it when writing the trajectory file).  *profiler*, when
-    given, is a :class:`~repro.profile.profiler.HostProfiler`: the
-    sweep runs inside its window with the redundancy observatory bound
-    per config.  Profiling is observe-only, so the payload is
-    byte-identical with or without it (``san-profile-zero-cycles``).
+    assigns it when writing the trajectory file).
 
     *fastpath* forces the dispatch fast path on (True) or off (False)
     for every ARM machine in the sweep (None = machine default).
@@ -110,28 +97,19 @@ def run_bench(iterations=DEFAULT_ITERATIONS, configs=None,
     registry = MetricsRegistry()
     machines = []
     results = {}
-    if profiler is not None:
-        profiler.start()
     started_ns = time.perf_counter_ns()  # lint: allow(sim-nondeterminism)
-    try:
-        for name in names:
-            costs = (arm_costs if ALL_CONFIGS[name].platform == "arm"
-                     else x86_costs)
-            suite = make_microbench(name, costs=costs, registry=registry,
-                                    fastpath=fastpath)
-            machines.append(suite.machine)
-            if profiler is not None:
-                profiler.attach_machine(suite.machine, config=name)
-            cells = {}
-            for benchmark in MICROBENCHMARKS:
-                measured = suite.run(benchmark, iterations)
-                cells[benchmark] = {"cycles": measured.cycles,
-                                    "traps": measured.traps}
-            results[name] = cells
-    finally:
-        if profiler is not None:
-            profiler.stop()
-            profiler.detach_machine()
+    for name in names:
+        costs = (arm_costs if ALL_CONFIGS[name].platform == "arm"
+                 else x86_costs)
+        suite = make_microbench(name, costs=costs, registry=registry,
+                                fastpath=fastpath)
+        machines.append(suite.machine)
+        cells = {}
+        for benchmark in MICROBENCHMARKS:
+            measured = suite.run(benchmark, iterations)
+            cells[benchmark] = {"cycles": measured.cycles,
+                                "traps": measured.traps}
+        results[name] = cells
     if host_meter is not None:
         host_meter["wall_ns"] = (
             time.perf_counter_ns() - started_ns)  # lint: allow(sim-nondeterminism)
@@ -274,12 +252,16 @@ def main(argv=None, arm_costs=None, x86_costs=None):
     configs = []
     write = True
     force = False
-    profile = False
     compare_fastpath = False
     while argv:
         arg = argv.pop(0)
         if arg == "--iterations" and argv:
-            iterations = int(argv.pop(0))
+            value = argv.pop(0)
+            if not value.isdigit() or int(value) < 1:
+                print("bench: --iterations wants a positive integer, "
+                      "not %r" % value, file=sys.stderr)
+                return 2
+            iterations = int(value)
         elif arg == "--dir" and argv:
             directory = Path(argv.pop(0))
         elif arg == "--config" and argv:
@@ -288,14 +270,12 @@ def main(argv=None, arm_costs=None, x86_costs=None):
             write = False
         elif arg == "--force":
             force = True
-        elif arg == "--profile":
-            profile = True
         elif arg == "--compare-fastpath":
             compare_fastpath = True
         elif arg in ("-h", "--help"):
             print("usage: python -m repro bench [--iterations N] "
                   "[--dir PATH] [--config NAME ...] [--no-write] "
-                  "[--force] [--profile] [--compare-fastpath]")
+                  "[--force] [--compare-fastpath]")
             return 0
         else:
             print("bench: unknown argument %r" % arg, file=sys.stderr)
@@ -306,14 +286,10 @@ def main(argv=None, arm_costs=None, x86_costs=None):
                   % (name, ", ".join(sorted(ALL_CONFIGS))), file=sys.stderr)
             return 2
 
-    profiler = None
-    if profile:
-        from repro.profile.profiler import HostProfiler
-        profiler = HostProfiler()
     host = None
     if compare_fastpath:
-        # Reference sweep first (fast path off, unprofiled); the
-        # recorded payload below is the fast-path run.
+        # Reference sweep first (fast path off); the recorded payload
+        # below is the fast-path run.
         ref_meter = {}
         reference = run_bench(iterations=iterations,
                               configs=configs or None,
@@ -323,7 +299,6 @@ def main(argv=None, arm_costs=None, x86_costs=None):
     payload = run_bench(iterations=iterations,
                         configs=configs or None,
                         arm_costs=arm_costs, x86_costs=x86_costs,
-                        profiler=profiler,
                         fastpath=True if compare_fastpath else None,
                         host_meter=fast_meter)
     if compare_fastpath:
@@ -390,42 +365,12 @@ def main(argv=None, arm_costs=None, x86_costs=None):
         # trajectory entry per change even when the costs held still.
         print("bench: OK — %d cells identical to BENCH_%d.json, "
               "trajectory unchanged" % (total, last_sequence))
-        sequence = last_sequence
     elif write:
-        sequence = last_sequence + 1
-        path = write_payload(payload, directory, sequence)
+        path = write_payload(payload, directory, last_sequence + 1)
         print("bench: OK — %d cells written to %s" % (total, path))
     else:
         print("bench: OK — %d cells (not written)" % total)
-        sequence = max(last_sequence, 1)
-    if profiler is not None:
-        write_profile_sidecar(profiler, payload, directory, sequence,
-                              write=write)
     return 0
-
-
-def write_profile_sidecar(profiler, payload, directory, sequence,
-                          write=True):
-    """The ``--profile`` sidecars: ``PROF_<n>.json`` +
-    ``PROF_<n>.folded`` next to the trajectory entry the run
-    corresponds to (never byte-diffed — host time is nondeterministic).
-    """
-    from repro.profile.export import (collapsed_stacks, profile_document,
-                                      render_redundancy, write_json)
-    document = profile_document(
-        profiler, scenario="bench-%d" % sequence,
-        meta={"iterations": payload["iterations"],
-              "configs": sorted(payload["results"])})
-    if write:
-        json_path = Path(directory) / ("PROF_%d.json" % sequence)
-        write_json(document, json_path)
-        folded_path = Path(directory) / ("PROF_%d.folded" % sequence)
-        folded_path.write_text(collapsed_stacks(document))
-        print("bench: profile sidecar %s (+ %s; host %.1f ms, "
-              "excluded from byte-diffs)"
-              % (json_path, folded_path.name, document["wall_ns"] / 1e6))
-    print(render_redundancy(document, top=0))
-    return document
 
 
 if __name__ == "__main__":

@@ -89,20 +89,14 @@ class CycleLedger:
     ``total`` at its boundaries, and the metrics registry
     (:mod:`repro.metrics.instrument`) pulls ``by_category`` into
     ``repro_cycles_total`` whenever the registry is read.  ``charge``
-    therefore only adds, apart from the profiler's sink below.
-
-    ``profile_sink``, when set, is called as ``profile_sink(cycles,
-    category)`` on every charge.  It is the host profiler's redundancy
-    observatory (:mod:`repro.profile`); it must never charge the ledger
-    (enforced by ``san-profile-zero-cycles``).
+    therefore only adds.
     """
 
-    __slots__ = ("total", "by_category", "profile_sink")
+    __slots__ = ("total", "by_category")
 
     def __init__(self, total=0, by_category=None):
         self.total = total
         self.by_category = {} if by_category is None else by_category
-        self.profile_sink = None
 
     def charge(self, cycles, category="other"):
         """Add *cycles* to the ledger under *category*."""
@@ -110,10 +104,8 @@ class CycleLedger:
             raise ValueError("cannot charge negative cycles: %r" % cycles)
         self.total += cycles
         self.by_category[category] = self.by_category.get(category, 0) + cycles
-        if self.profile_sink is not None:
-            self.profile_sink(cycles, category)
 
-    # -- value semantics (the old dataclass's eq/repr, the sink excluded) --
+    # -- value semantics (the old dataclass's eq/repr) --------------------
 
     def __eq__(self, other):
         if not isinstance(other, CycleLedger):

@@ -15,6 +15,18 @@ def clobber_hyp_state(vcpu):
     vcpu.cpu.el2_regs.write("HCR_EL2", 1 << 34)
 
 
+def clobber_banks_in_bulk(cpu, ctx):
+    # VIOLATION sim-sysreg-bypass: several EL1 registers in one call.
+    cpu.el1_regs.write_many(("SCTLR_EL1", "TCR_EL1"), (0, 0))
+
+    # VIOLATION sim-sysreg-bypass: the unchecked bulk store.
+    cpu.el2_regs.put_many(("HCR_EL2",), (0,))
+
+    # VIOLATION sim-sysreg-bypass: a bank overwritten from a saved
+    # context.
+    cpu.el1_regs.copy_from(ctx.regs, ("SCTLR_EL1",))
+
+
 def poke_raw_store(regfile):
     # VIOLATION sim-sysreg-bypass: reaching into RegisterFile internals
     # skips name validation and the read-only check.
@@ -29,4 +41,5 @@ def allowed_paths(cpu, regfile):
     cpu.msr("SCTLR_EL1", 0)
     value = cpu.mrs("SCTLR_EL1")
     regfile.write("SCTLR_EL1", value)
+    regfile.write_many(("SCTLR_EL1",), (value,))
     cpu.el2_regs.write("HCR_EL2", 0)  # lint: allow(sim-sysreg-bypass)

@@ -196,7 +196,7 @@ def test_findings_carry_location():
 
 def test_bad_sysreg_fixture_is_caught():
     findings = lint_file(FIXTURES / "bad_sysreg_bypass.py")
-    assert rules_of(findings) == ["sim-sysreg-bypass"] * 4
+    assert rules_of(findings) == ["sim-sysreg-bypass"] * 7
 
 
 def test_bad_nondeterminism_fixture_is_caught():

@@ -110,40 +110,19 @@ def test_chaos_run_with_recorder_still_replays(tmp_path, capsys):
     assert "replays to the live accounting" in capsys.readouterr().out
 
 
-def test_profile_run_folds_a_fleet_wide_profile(tmp_path, capsys):
-    # The full observability stack at once: flight recorder + stitched
-    # trace + host profile, all riding one supervised run.
+def test_recorder_and_stitched_trace_ride_one_supervised_run(tmp_path,
+                                                             capsys):
+    # The observability stack at once: flight recorder + stitched trace,
+    # both riding one supervised run.
     journal_dir = tmp_path / "flight"
     trace_file = tmp_path / "fleet-trace.json"
-    profile_file = tmp_path / "fleet-prof.json"
     status = cli.main(["--machines", "2", "--workers", "2",
                        "--shard-size", "1",
                        "--flight-recorder", str(journal_dir),
-                       "--trace-out", str(trace_file),
-                       "--profile-out", str(profile_file)])
+                       "--trace-out", str(trace_file)])
     assert status == 0
     captured = capsys.readouterr().out
     assert "replays to the live accounting" in captured
     assert "machine lanes" in captured
-    assert "shards folded" in captured
-    assert "redundancy observatory" in captured
     assert (journal_dir / cli.FLIGHT_JOURNAL).exists()
     assert trace_file.exists()
-    from repro.profile.export import validate_profile
-    document = json.loads(profile_file.read_text())
-    assert validate_profile(document) == []
-    assert document["scenario"] == "fleet"
-    assert document["meta"]["merged"] == 2
-    # Fleet workers skip stack collection; phases still attribute.
-    assert document["stacks"] == {}
-    assert document["phases"]["trap.dispatch"]["calls"] > 0
-
-
-def test_profile_fleet_stays_byte_identical_under_verify(capsys):
-    # --profile with --verify: the profile document rides alongside the
-    # deterministic exports without perturbing them.
-    status = cli.main(["--machines", "2", "--workers", "2",
-                       "--shard-size", "1", "--profile", "--verify"])
-    assert status == 0
-    assert "byte-identical to the sequential reference" \
-        in capsys.readouterr().out

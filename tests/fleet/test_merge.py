@@ -22,7 +22,7 @@ def payloads():
     plan = FleetPlan.generate(0, MACHINES, shard_size=1)
     out = []
     for shard in plan.shards:
-        records, document, _, _ = run_shard(shard)
+        records, document, _ = run_shard(shard)
         out.append((shard.shard_id, records, document))
     return out
 

@@ -78,7 +78,7 @@ def test_heartbeats_carry_monotonic_progress():
 def test_progress_deltas_fold_to_the_final_metrics_document():
     shard = _shard(machines=3)
     events = []
-    _, metrics_document, _, _ = run_shard(shard, emit=events.append)
+    _, metrics_document, _ = run_shard(shard, emit=events.append)
     folded = MetricsRegistry()
     for event in events:
         if event["type"] == "progress":

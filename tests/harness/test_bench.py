@@ -169,6 +169,17 @@ class TestMain:
                            "--config", "no-such"]) == 2
         assert "unknown config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["x", "0", "-1"])
+    def test_bad_iterations_rejected(self, tmp_path, capsys, value):
+        """A non-integer or non-positive count is a usage error, not a
+        traceback or a trajectory comparison of an empty run."""
+        assert bench.main(["--dir", str(tmp_path),
+                           "--iterations", value]) == 2
+        captured = capsys.readouterr()
+        assert "--iterations" in captured.err
+        assert "REGRESSION" not in captured.out
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_flag_rejected(self, capsys):
         assert bench.main(["--frobnicate"]) == 2
 
@@ -183,41 +194,3 @@ def test_all_configs_known_to_bench():
     payload_configs = sorted(ALL_CONFIGS)
     assert payload_configs  # sanity
     assert len(payload_configs) == 7
-
-
-class TestProfileSidecar:
-    def _args(self, tmp_path, profile=False):
-        args = ["--dir", str(tmp_path), "--iterations", "2"]
-        for name in FAST_CONFIGS:
-            args += ["--config", name]
-        return args + (["--profile"] if profile else [])
-
-    def test_profile_writes_sidecars_next_to_the_trajectory(
-            self, tmp_path, capsys):
-        assert bench.main(self._args(tmp_path, profile=True)) == 0
-        out = capsys.readouterr().out
-        assert "profile sidecar" in out
-        assert "redundancy observatory" in out
-        from repro.profile.export import validate_profile
-        document = json.loads((tmp_path / "PROF_1.json").read_text())
-        assert validate_profile(document) == []
-        assert document["scenario"] == "bench-1"
-        assert (tmp_path / "PROF_1.folded").read_text()
-
-    def test_sidecars_never_enter_the_trajectory(self, tmp_path):
-        # The PROF_* names deliberately do not match BENCH_PATTERN, so
-        # the trajectory scan (and therefore every byte-diff) skips them.
-        assert bench.BENCH_PATTERN.match("PROF_1.json") is None
-        assert bench.main(self._args(tmp_path, profile=True)) == 0
-        assert [n for n, _ in bench.find_trajectory(tmp_path)] == [1]
-
-    def test_bench_payload_is_byte_identical_with_profiling(
-            self, tmp_path, capsys):
-        plain_dir = tmp_path / "plain"
-        profiled_dir = tmp_path / "profiled"
-        plain_dir.mkdir()
-        profiled_dir.mkdir()
-        assert bench.main(self._args(plain_dir)) == 0
-        assert bench.main(self._args(profiled_dir, profile=True)) == 0
-        assert (plain_dir / "BENCH_1.json").read_bytes() \
-            == (profiled_dir / "BENCH_1.json").read_bytes()

@@ -42,6 +42,19 @@ def test_reset():
     assert ledger.by_category == {}
 
 
+def test_ledger_value_semantics():
+    """Ledgers compare and print by (total, by_category), as the
+    dataclass they replaced did."""
+    a = CycleLedger()
+    b = CycleLedger()
+    assert a == b
+    a.charge(4, "guest")
+    assert a != b
+    b.charge(4, "guest")
+    assert a == b
+    assert "total=4" in repr(a)
+
+
 def test_trap_entry_cost_matches_paper_measurement():
     """Section 5: 'trapping from EL1 to EL2 was between 68 to 76 cycles,
     and returning ... was 65 cycles'."""
