@@ -72,7 +72,8 @@ def degradation_lifecycle():
     hypercall measured in each state (16 / 126 / 16)."""
     from repro.faults.plan import FaultPlan
     from repro.faults.points import FaultInjector
-    from repro.faults.recovery import IntegrityMonitor, RecoveryManager
+    from repro.faults.recovery import (MachineIntegrityMonitor,
+                                       RecoveryManager)
 
     config = ALL_CONFIGS["neve-nested"]
     machine = Machine(arch=arm_arch_for(config), costs=ARM_COSTS)
@@ -80,8 +81,8 @@ def degradation_lifecycle():
     vcpu = vm.vcpus[0]
     machine.kvm.boot_nested(vcpu)
 
-    monitor = IntegrityMonitor(machine.memory,
-                               vcpu.neve.page.baddr).install()
+    monitor = MachineIntegrityMonitor(machine.memory).install().track(
+        vcpu.vcpu_id, vcpu.neve.page.baddr)
     recovery = RecoveryManager(machine, vcpu,
                                monitor, FaultInjector(FaultPlan(0, [])))
 

@@ -118,8 +118,8 @@ def el2_route(reg, enc, host_e2h, has_vhe):
     The host hypervisor's accesses never trap, so resolving one is only
     a choice of bank and register.  This function is that choice and
     nothing else (no charge, no state), so the classification ladder
-    (:meth:`Cpu._access_at_el2`) and the register-block compiler
-    (:meth:`Cpu.compile_block`) route from one rule.
+    (:meth:`Cpu._access_at_el2`) and the switch compiler
+    (:meth:`Cpu.compile_switch`) route from one rule.
     """
     if enc is Encoding.EL12 or enc is Encoding.EL02:
         if not (has_vhe and host_e2h):
@@ -134,15 +134,16 @@ def el2_route(reg, enc, host_e2h, has_vhe):
 
 
 # --------------------------------------------------------------------------
-# Compiled register blocks.
+# Register programs.
 #
-# A block is a fixed register sequence, one step per access, in program
-# order: ``(name, enc, op)``.  The op says where the value comes from and
-# goes to; "the vcpu struct" is the caller's memory-backed context (see
+# A register program is a fixed register sequence, one step per access,
+# in program order: ``(name, enc, op)`` once CpuOps.steps has resolved
+# its accessors.  The op says where the value comes from and goes to;
+# "the vcpu struct" is the caller's memory-backed context (see
 # repro.hypervisor.vcpu.VcpuStruct), keyed by the step's register name.
 # --------------------------------------------------------------------------
 
-BLOCK_READ = "read"  # hardware read, value returned to the caller
+BLOCK_READ = "read"  # hardware read, value dropped
 BLOCK_WRITE = "write"  # hardware write of the caller's next value
 BLOCK_SAVE = "save"  # hardware read, value stored in the vcpu struct
 BLOCK_RESTORE = "restore"  # vcpu-struct value written to hardware
@@ -154,16 +155,18 @@ BLOCK_RESTORE = "restore"  # vcpu-struct value written to hardware
 # One direction of L0's world switch is one program: a tuple of steps in
 # program order.  Two runners read it: the per-phase runner
 # (repro.hypervisor.world_switch.run_switch), the reference, which opens
-# one span per phase and charges per block; and Cpu.compile_switch /
-# run_switch below, which turn the whole direction into a few bulk moves
-# and one charge per category.  Slots index the vcpu structs a run is
-# given (the guest's and the host's).
+# one span per phase; and Cpu.compile_switch / run_switch below, which
+# turn the whole direction into a few bulk moves and one charge per
+# category.  A register phase that runs on its own at real EL2 (each
+# phase of the per-phase runner, and the exit context read on every
+# trap) compiles the same way, as a one-phase program.  Slots index the
+# vcpu structs a run is given (the guest's and the host's).
 #
 #   (SWITCH_PHASE, phase, slot)   a register phase, as a tuple
-#       (span, key, program, values, before, after, barrier): its steps
-#       (key, or program(key), as CpuOps.steps resolves them), the
-#       values its writes take, the fault points crossed before and
-#       after its span, and whether a barrier closes it
+#       (span, steps, values, before, after, barrier): its register
+#       program's ``(register, accessor, op)`` steps, the values its
+#       writes take, the fault points crossed before and after its span,
+#       and whether a barrier closes it
 #   (SWITCH_WORK, instructions, category)          Cpu.work
 #   (SWITCH_BARRIER,)                               Cpu.barrier
 #   (SWITCH_ERET,)                                  Cpu.eret at EL2
@@ -225,28 +228,6 @@ class CompiledSwitch:
         self.cycles = cycles
         self.charges = charges
         self.flushed_charges = flushed_charges
-
-
-class RegisterBlock:
-    """A register sequence compiled for one CPU at real EL2.
-
-    ``runs`` are the hardware moves, consecutive steps on the same bank
-    with the same op merged: ``((bank_is_el2, op, targets), ...)``.
-    ``loads``/``saves`` name the vcpu-struct registers the restore/save
-    steps move, in order.  ``load_first`` is set when the sequence's
-    first access charges the vcpu-struct load rather than the sysreg
-    access, so the summed charges keep the per-access category order.
-    """
-
-    __slots__ = ("runs", "reads", "writes", "loads", "saves", "load_first")
-
-    def __init__(self, runs, reads, writes, loads, saves, load_first):
-        self.runs = runs
-        self.reads = reads
-        self.writes = writes
-        self.loads = loads
-        self.saves = saves
-        self.load_first = load_first
 
 
 class Cpu:
@@ -326,13 +307,10 @@ class Cpu:
         self._verdicts = {}
         self._neve_verdict_state = None  # cached neve_enabled, or None
 
-        # Compiled register blocks (see compile_block), keyed by
-        # (host_e2h, the sequence's key as its caller names it by value).
-        # None marks a sequence the compiler rejected.
-        self._blocks = {}
-        # Compiled world switches (see compiled_switch), keyed by the
-        # switch program's identity; each entry is (program, switch),
-        # with None for a switch the compiler rejected.
+        # Compiled switch programs, whole or one phase of one (see
+        # compiled_switch), keyed by the program's identity; each entry
+        # is (program, switch), with None for a program the compiler
+        # rejected.
         self._switches = {}
 
     # ------------------------------------------------------------------
@@ -701,11 +679,11 @@ class Cpu:
         self._verdicts.clear()
         self._neve_verdict_state = None
 
-    # -- compiled register blocks ---------------------------------------
+    # -- compiled switch programs ---------------------------------------
 
     def block_eligible(self):
-        """May a compiled register block stand in for per-access
-        execution right now?
+        """May a compiled one-phase switch program stand in for
+        per-access execution of a register phase right now?
 
         Only at real EL2, where no access can trap or defer.  Every
         attached consumer is inert for these accesses by its own code:
@@ -717,111 +695,11 @@ class Cpu:
         """
         return self.current_el == ExceptionLevel.EL2
 
-    def register_block(self, key, build):
-        """This CPU's compiled block for the sequence named *key*, or
-        None when it does not compile.  *key* names the sequence by
-        value (e.g. its register-name tuples), so an edited sequence
-        compiles afresh; ``build()`` returns its steps on first use."""
-        full_key = (self.host_e2h, key)
-        try:
-            return self._blocks[full_key]
-        except KeyError:
-            block = self._blocks[full_key] = self.compile_block(build())
-            return block
-
-    def compile_block(self, steps):
-        """Compile *steps* (``(name, enc, op)`` in program order) for
-        this CPU at real EL2, or return None to keep them per access.
-
-        Every step is routed by :func:`el2_route`, the ladder's own EL2
-        rule, for this CPU's ``host_e2h`` and architecture.  A block
-        compiles only if every step is a NORMAL-encoding access that
-        the ladder turns into a hardware register move; any of these
-        rejects the whole block: a pre-charge UNDEF (``vhe_only``, or a
-        write to a read-only register), a ``*_EL12``/``*_EL02`` alias, a
-        GIC CPU-interface register, or a ``VNCR_EL2`` write.
-        """
-        if not steps:
-            return None
-        has_vhe = self.arch.has_vhe
-        runs = []
-        reads = writes = 0
-        loads = []
-        saves = []
-        for name, enc, op in steps:
-            reg = lookup_register(name)
-            is_write = op == BLOCK_WRITE or op == BLOCK_RESTORE
-            if (enc is not Encoding.NORMAL
-                    or reg.reg_class is RegClass.GIC_CPU
-                    or (reg.vhe_only and not has_vhe)
-                    or (is_write and reg.read_only)):
-                return None
-            bank_is_el2, target, _kind = el2_route(reg, enc, self.host_e2h,
-                                                   has_vhe)
-            if is_write and bank_is_el2 and target == "VNCR_EL2":
-                return None
-            if is_write:
-                writes += 1
-            else:
-                reads += 1
-            if op == BLOCK_SAVE:
-                saves.append(name)
-            elif op == BLOCK_RESTORE:
-                loads.append(name)
-            if runs and runs[-1][0] == bank_is_el2 and runs[-1][1] == op:
-                runs[-1][2].append(target)
-            else:
-                runs.append((bank_is_el2, op, [target]))
-        return RegisterBlock(
-            runs=tuple((bank, op, tuple(targets))
-                       for bank, op, targets in runs),
-            reads=reads, writes=writes, loads=tuple(loads),
-            saves=tuple(saves), load_first=steps[0][2] == BLOCK_RESTORE)
-
-    def run_block(self, block, ctx=None, values=()):
-        """Execute a compiled block: one bulk move per run and one
-        summed charge per category, in the order the per-access path
-        would first have charged them.  *ctx* is the vcpu struct the
-        save/restore steps use; *values* feed the plain writes in turn.
-        Returns the plain reads' values, in order."""
-        ledger = self.ledger
-        costs = self.costs
-        cycles = (block.reads * costs.sysreg_read
-                  + block.writes * costs.sysreg_write)
-        if block.load_first:
-            loaded = ctx.load_many(block.loads)
-            ledger.charge(cycles, "sysreg")
-        else:
-            ledger.charge(cycles, "sysreg")
-            loaded = ctx.load_many(block.loads) if block.loads else ()
-        out = []
-        saved = []
-        used = restored = 0
-        for bank_is_el2, op, targets in block.runs:
-            regfile = self.el2_regs if bank_is_el2 else self.el1_regs
-            if op == BLOCK_READ:
-                out += regfile.read_many(targets)
-            elif op == BLOCK_SAVE:
-                saved += regfile.read_many(targets)
-            elif op == BLOCK_WRITE:
-                end = used + len(targets)
-                regfile.write_many(targets, values[used:end])
-                used = end
-            else:
-                end = restored + len(targets)
-                regfile.write_many(targets, loaded[restored:end])
-                restored = end
-        if saved:
-            ctx.save_many(block.saves, saved)
-        return out
-
-    # -- compiled world switches ----------------------------------------
-
     def switch_eligible(self):
         """May a compiled world switch stand in for the per-phase runner?
         Checked once per switch.
 
-        Only where a compiled block may (:meth:`block_eligible`), and
+        Only where a compiled phase may (:meth:`block_eligible`), and
         only while nothing observes the CPU between the switch's phases:
 
         * a tracer opens one span per phase;
@@ -833,24 +711,28 @@ class Cpu:
         return (self.tracer is None and self.metrics is None
                 and self.fault_hook is None and self.block_eligible())
 
-    def compiled_switch(self, program, vhe, structs):
+    def compiled_switch(self, program, vhe, structs, phase=None):
         """This CPU's compiled switch for *program* run with *structs*
         (the vcpu structs its slots name), or None when it does not
         compile; compiled on first use, for this CPU's architecture and
-        cost model.
+        cost model.  With *phase*, only the program's step at that
+        index, as a one-phase program: how a register phase that runs on
+        its own compiles.
 
         Keyed by the program object, not its value: the hypervisor
         builds one program per direction and stage-2 base from the
         register lists as they stand then and reuses it, so hashing
         the whole program on every switch would buy nothing.  The entry
         keeps its program alive and is matched with ``is``, so a reused
-        ``id`` never hits."""
+        ``id`` never hits; a program built per call must never come
+        here."""
         categories = tuple([struct.category for struct in structs])
-        key = (self.host_e2h, vhe, categories, id(program))
+        key = (self.host_e2h, vhe, categories, id(program), phase)
         entry = self._switches.get(key)
         if entry is None or entry[0] is not program:
-            entry = self._switches[key] = (
-                program, self.compile_switch(program, vhe, categories))
+            entry = self._switches[key] = (program, self.compile_switch(
+                program if phase is None else program[phase:phase + 1],
+                vhe, categories))
         return entry[1]
 
     def compile_switch(self, program, vhe, categories):
@@ -858,24 +740,33 @@ class Cpu:
         for this CPU at real EL2, or return None to run it per phase.
 
         *categories* are the charge categories of the vcpu structs in
-        the program's slots.  Each register phase compiles with
-        :meth:`compile_block`, so anything that rejects rejects the
-        switch (a VHE hypervisor's ``*_EL12`` aliases do), and is charged
-        as :meth:`run_block` charges it.  Its plain reads are dropped, as
-        the per-phase runner drops their values.  Consecutive moves
-        between the same two stores merge, as do consecutive constant
-        writes to one store; no value read from a register store is
-        masked again.  The vGIC ops do what
-        ``world_switch.vgic_save_mmio``/``vgic_restore_mmio`` and the
-        list-register fold and flush do, in bulk.  Every charge is summed
-        per category in first-charge order; fault points compile to
-        nothing, since :meth:`switch_eligible` admits no fault hook.
-        Rejected too: the system-register vGIC, list-register steps on a
-        CPU without a GIC, and a category first charged by interrupt
-        flushing alone but charged unconditionally later (its position
-        would depend on the flush).
+        the program's slots.  Every step of a register phase is routed
+        by :func:`el2_route`, the ladder's own EL2 rule, for this CPU's
+        ``host_e2h`` and architecture, and must be a NORMAL-encoding
+        access the ladder turns into a hardware register move.  Any of
+        these rejects the program: an empty phase, a pre-charge UNDEF
+        (``vhe_only``, or a write to a read-only register), a
+        ``*_EL12``/``*_EL02`` alias (a VHE hypervisor's EL1 context
+        moves through them), a GIC CPU-interface register, or a
+        ``VNCR_EL2`` write.  Plain reads are dropped: reading a register
+        has no side effect.  A phase charges its sysreg accesses, its
+        vcpu-struct loads and stores, then its barrier; a phase whose
+        first step is a restore charges its loads first, as the
+        per-access path does.  Consecutive moves between the same two
+        stores merge, as do consecutive constant writes to one store; no
+        value read from a register store is masked again.  The vGIC ops
+        do what ``world_switch.vgic_save_mmio``/``vgic_restore_mmio``
+        and the list-register fold and flush do, in bulk.  Every charge
+        is summed per category in first-charge order.  Fault points
+        compile to nothing: :meth:`switch_eligible` admits no fault hook,
+        and a lone phase's runner crosses them itself.  Rejected too:
+        the system-register vGIC, list-register steps on a CPU without a
+        GIC, and a category first charged by interrupt flushing alone but
+        charged unconditionally later (its position would depend on the
+        flush).
         """
         costs = self.costs
+        has_vhe = self.arch.has_vhe
         steps_of = CpuOps(self, vhe).steps
         ops = []
         order = {}
@@ -912,39 +803,46 @@ class Cpu:
             kind = step[0]
             if kind == SWITCH_PHASE:
                 _kind, phase, slot = step
-                _span, key, build, values, _before, _after, barrier = phase
-                block = self.compile_block(steps_of(key, build))
-                if block is None:
+                _span, steps, values, _before, _after, barrier = phase
+                steps = steps_of(steps)
+                if not steps:
                     return None
+                sysreg = loads = saves = written = 0
+                for name, enc, op in steps:
+                    reg = lookup_register(name)
+                    is_write = op == BLOCK_WRITE or op == BLOCK_RESTORE
+                    if (enc is not Encoding.NORMAL
+                            or reg.reg_class is RegClass.GIC_CPU
+                            or (reg.vhe_only and not has_vhe)
+                            or (is_write and reg.read_only)):
+                        return None
+                    bank_is_el2, target, _access = el2_route(
+                        reg, enc, self.host_e2h, has_vhe)
+                    if is_write and bank_is_el2 and target == "VNCR_EL2":
+                        return None
+                    bank = _EL2 if bank_is_el2 else _EL1
+                    sysreg += (costs.sysreg_write if is_write
+                               else costs.sysreg_read)
+                    if op == BLOCK_SAVE:
+                        move(bank, _STRUCT + slot, (target,), (name,))
+                        saves += 1
+                    elif op == BLOCK_RESTORE:
+                        move(_STRUCT + slot, bank, (name,), (target,))
+                        loads += 1
+                    elif op == BLOCK_WRITE:
+                        assign(bank, (target,),
+                               (values[written] & _MASK64,))
+                        written += 1
                 category = None if slot is None else categories[slot]
-                sysreg = (block.reads * costs.sysreg_read
-                          + block.writes * costs.sysreg_write)
-                if block.load_first:
-                    charge(category, len(block.loads) * costs.mem_load)
+                if steps[0][2] == BLOCK_RESTORE:  # loads charge first
+                    charge(category, loads * costs.mem_load)
                     charge("sysreg", sysreg)
                 else:
                     charge("sysreg", sysreg)
-                    if block.loads:
-                        charge(category, len(block.loads) * costs.mem_load)
-                if block.saves:
-                    charge(category, len(block.saves) * costs.mem_store)
-                used = loaded = saved = 0
-                for bank_is_el2, op, targets in block.runs:
-                    bank = _EL2 if bank_is_el2 else _EL1
-                    count = len(targets)
-                    if op == BLOCK_SAVE:
-                        move(bank, _STRUCT + slot, targets,
-                             block.saves[saved:saved + count])
-                        saved += count
-                    elif op == BLOCK_RESTORE:
-                        move(_STRUCT + slot, bank,
-                             block.loads[loaded:loaded + count], targets)
-                        loaded += count
-                    elif op == BLOCK_WRITE:
-                        assign(bank, targets,
-                               tuple(value & _MASK64
-                                     for value in values[used:used + count]))
-                        used += count
+                    if loads:
+                        charge(category, loads * costs.mem_load)
+                if saves:
+                    charge(category, saves * costs.mem_store)
                 if barrier:
                     charge("world_switch", costs.dsb_isb)
             elif kind == SWITCH_WORK:
@@ -1341,15 +1239,12 @@ class CpuOps:
 
     # -- any state, by accessor -------------------------------------------
 
-    def steps(self, key, program=None):
-        """A register program's steps as ``(register, encoding, op)``,
-        resolved for this hypervisor flavour exactly as its accessors
-        would issue them.  *key* is the program itself, or a value naming
-        it from which ``program(key)`` builds its ``(register, accessor,
-        op)`` steps."""
+    def steps(self, program):
+        """A register program's ``(register, accessor, op)`` steps as
+        ``(register, encoding, op)``, resolved for this hypervisor
+        flavour exactly as its accessors would issue them."""
         return tuple(self.alias(name, accessor) + (op,)
-                     for name, accessor, op in (key if program is None
-                                                else program(key)))
+                     for name, accessor, op in program)
 
     def alias(self, name, accessor):
         """The ``(register, encoding)`` one of KVM's accessors issues

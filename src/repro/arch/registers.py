@@ -608,9 +608,9 @@ class RegisterFile:
             pass
         self._values[name] = value & 0xFFFFFFFFFFFFFFFF
 
-    # The bulk moves trust their names: they serve compiled register
-    # blocks (repro.arch.cpu.Cpu.compile_block), which look every name
-    # up in the registry once, when the block compiles.
+    # The bulk moves trust their names: they serve compiled switch
+    # programs (repro.arch.cpu.Cpu.compile_switch), which look every
+    # name up in the registry once, when the program compiles.
 
     def read_many(self, names):
         """Bulk :meth:`read`: the values of *names*, in order."""

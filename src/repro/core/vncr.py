@@ -100,24 +100,11 @@ class DeferredAccessPage:
                 "a second page")
         self.memory = memory
         self.baddr = baddr
-        # Optional tracer (repro.trace); when attached, every software
-        # access to the page becomes an instant event in the causal trace.
-        self.tracer = None
 
     def read_reg(self, reg_name):
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.instant("page.read:%s" % reg_name, kind="vncr",
-                           detail={"register": reg_name,
-                                   "baddr": self.baddr})
         return self.memory.read_word(self.baddr + deferred_offset(reg_name))
 
     def write_reg(self, reg_name, value):
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.instant("page.write:%s" % reg_name, kind="vncr",
-                           detail={"register": reg_name,
-                                   "baddr": self.baddr})
         self.memory.write_word(self.baddr + deferred_offset(reg_name), value)
 
     def populate_from(self, regfile, names=None):

@@ -14,7 +14,7 @@ allowed to fail silently.
 
 from repro.faults.plan import FaultClass, FaultPlan, PlannedFault
 from repro.faults.points import FaultEvent, FaultInjector
-from repro.faults.recovery import IntegrityMonitor, RecoveryManager
+from repro.faults.recovery import RecoveryManager
 
 __all__ = [
     "FaultClass",
@@ -22,6 +22,5 @@ __all__ = [
     "PlannedFault",
     "FaultEvent",
     "FaultInjector",
-    "IntegrityMonitor",
     "RecoveryManager",
 ]

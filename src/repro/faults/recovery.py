@@ -2,19 +2,14 @@
 
 The cooperating pieces:
 
-* :class:`IntegrityMonitor` shadows one deferred access page.  It wraps
-  the physical memory's word store so every *legitimate* write inside
-  the page updates a reference copy; the injector's corruption goes
-  through :meth:`IntegrityMonitor.raw_write` and bypasses it.  An
-  ``audit()`` then reports exactly the slots that diverged — the model's
-  stand-in for the hash/ECC check a real host would run.
-
-* :class:`MachineIntegrityMonitor` is the SMP form: one ``write_word``
-  wrapper covering *every* vCPU's page as a tracked window, so the
-  integrity check is machine-wide (a write that lands in any vCPU's
-  page updates that window's reference).  Each window exposes the
-  single-page :class:`IntegrityMonitor` interface, so the per-vCPU
-  :class:`RecoveryManager` is oblivious to which form it drives.
+* :class:`MachineIntegrityMonitor` shadows the deferred access pages.
+  It wraps the physical memory's word store once, with one tracked
+  window per vCPU's page, so every *legitimate* write inside a page
+  updates that window's reference copy; the injector's corruption goes
+  through :meth:`MachineIntegrityMonitor.raw_write` and bypasses it.  A
+  window's ``audit()`` then reports exactly the slots that diverged —
+  the model's stand-in for the hash/ECC check a real host would run.
+  The per-vCPU :class:`RecoveryManager` drives one window.
 
 * :class:`RecoveryCoordinator` serialises recovery across vCPUs: a
   vCPU mid-recovery holds the machine-wide recovery lock, its page is
@@ -141,84 +136,14 @@ def derive_recovery_costs(costs, page_size=PAGE_SIZE):
     )
 
 
-class IntegrityMonitor:
-    """Reference copy of the deferred access page, offset-keyed.
-
-    Installing the monitor wraps ``memory.write_word``; writes inside
-    ``[baddr, baddr + PAGE_SIZE)`` update the reference.  Keying by
-    *offset* (not absolute address) makes migration cheap: after the
-    page moves, :meth:`rebase` re-aims the window and the reference
-    carries over unchanged.
-    """
-
-    def __init__(self, memory, baddr):
-        self.memory = memory
-        self.baddr = baddr
-        self.expected = {}  # page offset -> expected word
-        self._orig_write = None
-
-    @property
-    def installed(self):
-        return self._orig_write is not None
-
-    def install(self):
-        if self.installed:
-            raise RuntimeError("integrity monitor already installed")
-        for reg in deferred_registers():
-            self.expected[reg.vncr_offset] = self.memory.read_word(
-                self.baddr + reg.vncr_offset)
-        self._orig_write = self.memory.write_word
-        self.memory.write_word = self._tracked_write
-        return self
-
-    def uninstall(self):
-        if self.installed:
-            self.memory.write_word = self._orig_write
-            self._orig_write = None
-
-    def _tracked_write(self, addr, value):
-        self._orig_write(addr, value)
-        if self.baddr <= addr < self.baddr + PAGE_SIZE:
-            self.expected[addr - self.baddr] = value & 0xFFFFFFFFFFFFFFFF
-
-    def raw_write(self, addr, value):
-        """Corruption channel: hits memory without updating the
-        reference, so ``audit`` can see the divergence."""
-        (self._orig_write or self.memory.write_word)(addr, value)
-
-    def rebase(self, new_baddr):
-        """The page moved (migration): re-aim the tracked window."""
-        self.baddr = new_baddr
-
-    def retrack(self, new_baddr):
-        """Re-promotion: start shadowing a *fresh* page.  The reference
-        is re-snapshotted from the page's current (just-repopulated)
-        contents; the wrapper is re-installed if degrade removed it."""
-        self.baddr = new_baddr
-        if not self.installed:
-            self._orig_write = self.memory.write_word
-            self.memory.write_word = self._tracked_write
-        self.expected = {}
-        for reg in deferred_registers():
-            self.expected[reg.vncr_offset] = self.memory.read_word(
-                self.baddr + reg.vncr_offset)
-
-    def audit(self):
-        """Return ``[(offset, expected, actual)]`` for diverged slots."""
-        mismatches = []
-        for offset in sorted(self.expected):
-            actual = self.memory.read_word(self.baddr + offset)
-            if actual != self.expected[offset]:
-                mismatches.append((offset, self.expected[offset], actual))
-        return mismatches
-
-
 class _PageWindow:
-    """One vCPU's tracked page inside a :class:`MachineIntegrityMonitor`.
+    """One vCPU's tracked page inside a :class:`MachineIntegrityMonitor`:
+    the surface a :class:`RecoveryManager` drives (audit / rebase /
+    retrack / raw_write / uninstall / installed).
 
-    Presents the single-page :class:`IntegrityMonitor` surface (audit /
-    rebase / retrack / raw_write / uninstall / installed) so a
-    :class:`RecoveryManager` drives either form identically.
+    The reference is keyed by page *offset*, not absolute address, so
+    migration is cheap: after the page moves, :meth:`rebase` re-aims the
+    window and the reference carries over unchanged.
     """
 
     def __init__(self, owner, vcpu_id, baddr):
@@ -268,10 +193,10 @@ class MachineIntegrityMonitor:
     """Machine-wide page integrity: one ``write_word`` wrapper, one
     tracked window per vCPU's deferred access page.
 
-    Chaining per-page :class:`IntegrityMonitor` wrappers would break on
-    mid-chain uninstall (a degrade would splice the wrong original
-    back); wrapping once and dispatching by address keeps install and
-    uninstall order-independent, which SMP campaigns need.
+    Chaining one wrapper per page would break on mid-chain uninstall (a
+    degrade would splice the wrong original back); wrapping once and
+    dispatching by address keeps install and uninstall
+    order-independent, which SMP campaigns need.
     """
 
     def __init__(self, memory):

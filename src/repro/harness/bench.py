@@ -285,6 +285,10 @@ def main(argv=None, arm_costs=None, x86_costs=None):
             print("bench: unknown config %r (have: %s)"
                   % (name, ", ".join(sorted(ALL_CONFIGS))), file=sys.stderr)
             return 2
+    if not directory.is_dir():
+        print("bench: --dir wants an existing directory, not %r"
+              % str(directory), file=sys.stderr)
+        return 2
 
     host = None
     if compare_fastpath:

@@ -42,18 +42,6 @@ class VcpuStruct:
         self._cpu.ledger.charge(self._cpu.costs.mem_load, self.category)
         return self.regs.read(name)
 
-    def save_many(self, names, values):
-        """Bulk :meth:`save`: the same stores, one summed charge."""
-        cpu = self._cpu
-        cpu.ledger.charge(len(names) * cpu.costs.mem_store, self.category)
-        self.regs.write_many(names, values)
-
-    def load_many(self, names):
-        """Bulk :meth:`load`: the same loads, one summed charge."""
-        cpu = self._cpu
-        cpu.ledger.charge(len(names) * cpu.costs.mem_load, self.category)
-        return self.regs.read_many(names)
-
     def fold_lrs(self, num_lrs):
         """KVM's vgic_fold_lr_state on the saved list registers:
         completed interrupts leave INVALID slots behind, which become

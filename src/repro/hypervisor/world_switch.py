@@ -18,16 +18,17 @@ accessor is the ``CpuOps`` family the access goes through (``"hyp"``,
 ``"vm"``, ``"vm_el0"``, or ``"raw"`` for a plain ``cpu.mrs``/``msr``),
 the op one of :mod:`repro.arch.cpu`'s ``BLOCK_*`` operations.  A guest
 hypervisor at virtual EL2 runs a program one access at a time, so each
-access traps, defers or goes direct by the architecture rules.  L0 at
-real EL2 runs it as one compiled block: one bulk register move and one
-summed charge per category.  Both read the same program.
+access traps, defers or goes direct by the architecture rules.
 
 L0's whole world switch is one *switch program* per direction
 (:func:`host_switch_program`, :func:`guest_switch_program`): its
 register phases, fixed charges, vGIC steps and fault points, in order.
-:func:`run_switch` runs it phase by phase, the reference every observed
-run takes; :meth:`repro.arch.cpu.Cpu.compile_switch` turns it into a few
-bulk moves and one charge per category for runs nothing observes.
+:meth:`repro.arch.cpu.Cpu.compile_switch` is L0's one compiler at real
+EL2: it turns a whole switch into a few bulk moves and one charge per
+category when nothing observes the CPU, and otherwise :func:`run_switch`
+runs it phase by phase, each register phase compiled on its own as a
+one-phase program.  The exit context read on every trap is a one-phase
+program too.  Every register phase reads the same program either way.
 """
 
 from repro.arch.cpu import (
@@ -134,58 +135,44 @@ def _filter_lr(cpu, name, value):
     return value
 
 
-def _run(ops, key, ctx=None, values=(), program=None):
-    """Run one register program; returns its plain reads' values.
-
-    *key* is the program itself, or a value naming it from which
-    ``program(key)`` builds the steps.  At real EL2 the CPU runs the
-    compiled block for (``ops.vhe``, *key*); otherwise, or when the
-    compiler rejects the block, every step runs per access.  *ctx* is
-    the vcpu struct of the save/restore steps; *values* feed the writes.
-    """
-    cpu = ops.cpu
-    if cpu.block_eligible():
-        block = cpu.register_block((ops.vhe, key),
-                                   lambda: ops.steps(key, program))
-        if block is not None:
-            return cpu.run_block(block, ctx, values)
-    return _per_access(cpu, ops.steps(key, program), ctx, values)
-
-
 def _per_access(cpu, steps, ctx, values):
     """The reference path: one ``mrs``/``msr`` (and vcpu-struct load or
     store) per step, in program order."""
-    out = []
     values = iter(values)
     for name, enc, op in steps:
         if op == READ:
-            out.append(cpu.mrs(name, enc))
+            cpu.mrs(name, enc)
         elif op == WRITE:
             cpu.msr(name, next(values), enc)
         elif op == SAVE:
             ctx.save(name, cpu.mrs(name, enc))
         else:
             cpu.msr(name, ctx.load(name), enc)
-    return out
 
 
 # A register phase, as switch programs list it (see repro.arch.cpu), is
-# ``(span, key, program, values, before, after, barrier)``: a span around
-# one register program (as _run takes it) whose writes take *values*, the
-# fault points crossed *before* and *after* the span (or None), and
-# whether a *barrier* closes it inside the span.
+# ``(span, steps, values, before, after, barrier)``: a span around one
+# register program whose writes take *values*, the fault points crossed
+# *before* and *after* the span (or None), and whether a *barrier*
+# closes it inside the span.  The helpers below that run one phase on
+# its own (save_el1_state and the rest) build it per call, so they run
+# it per access: they serve the guest hypervisor, at virtual EL2.
 
-def _run_phase(ops, phase, ctx=None):
-    """Run one register phase per access, or as a compiled block at real
-    EL2, with its fault points and its span."""
-    span, key, program, values, before, after, barrier = phase
+def _run_phase(ops, phase, ctx=None, switch=None, structs=()):
+    """Run one register phase with its fault points and its span: as
+    its compiled one-phase *switch*, over the vcpu structs *structs*,
+    when one is given; otherwise per access, with vcpu struct *ctx*."""
+    span, steps, values, before, after, barrier = phase
     cpu = ops.cpu
     if before is not None:
         fault_point(cpu, before)
     with cpu_span(cpu, span):
-        _run(ops, key, ctx, values, program)
-        if barrier:
-            cpu.barrier()
+        if switch is not None:
+            cpu.run_switch(switch, structs, None)
+        else:
+            _per_access(cpu, ops.steps(steps), ctx, values)
+            if barrier:
+                cpu.barrier()
     if after is not None:
         fault_point(cpu, after)
 
@@ -194,24 +181,19 @@ def _run_phase(ops, phase, ctx=None):
 # EL1/EL0 context
 # ---------------------------------------------------------------------------
 
-def _el1_program(key):
-    """save/restore_el1_state's program for ``(op, EL1_STATE,
-    DEBUG_STATE, EL0_STATE)``.  EL0 user state has no ``*_EL02`` aliases
-    (only the timers are E2H-redirected); both hypervisor flavours use
-    the plain EL0 encodings, which never trap from virtual EL2."""
-    op, el1_state, debug_state, el0_state = key
-    return (tuple((name, "vm", op) for name in el1_state + debug_state)
-            + tuple((name, "raw", op) for name in el0_state))
-
-
 def _el1_phase(op):
-    """save_el1_state's phase (*op* SAVE) or restore_el1_state's."""
-    key = (op, EL1_STATE, DEBUG_STATE, EL0_STATE)
+    """save_el1_state's phase (*op* SAVE) or restore_el1_state's, over
+    EL1_STATE, DEBUG_STATE and EL0_STATE as they stand now.  EL0 user
+    state has no ``*_EL02`` aliases (only the timers are E2H-redirected);
+    both hypervisor flavours use the plain EL0 encodings, which never
+    trap from virtual EL2."""
+    steps = (tuple((name, "vm", op) for name in EL1_STATE + DEBUG_STATE)
+             + tuple((name, "raw", op) for name in EL0_STATE))
     if op == SAVE:
-        return ("ws.save_el1_state", key, _el1_program, (), None,
-                "ws.after-save", False)
-    return ("ws.restore_el1_state", key, _el1_program, (),
-            "ws.before-restore", None, False)
+        return ("ws.save_el1_state", steps, (), None, "ws.after-save",
+                False)
+    return ("ws.restore_el1_state", steps, (), "ws.before-restore", None,
+            False)
 
 
 def save_el1_state(ops, ctx):
@@ -233,20 +215,24 @@ def restore_el1_state(ops, ctx):
 # Exception context and returns
 # ---------------------------------------------------------------------------
 
-#: The exception context read on every hypervisor entry, keyed as
-#: read_exit_context returns it.
-_EXIT_CONTEXT = (
+#: The exception context read on every hypervisor entry.
+_EXIT_REGS = (
     ("ESR_EL2", "hyp", READ),
     ("ELR_EL2", "hyp", READ),
     ("SPSR_EL2", "hyp", READ),
     ("TPIDR_EL2", "raw", READ),  # per-cpu pointer
     ("HCR_EL2", "raw", READ),  # pending-vSError check
 )
-_ABORT_CONTEXT = _EXIT_CONTEXT + (
+_ABORT_REGS = _EXIT_REGS + (
     ("FAR_EL2", "hyp", READ),
     ("HPFAR_EL2", "hyp", READ),
 )
-_EXIT_CONTEXT_KEYS = ("esr", "elr", "spsr", "percpu", "hcr", "far", "hpfar")
+#: Both as one-phase switch programs, interned here so that L0 compiles
+#: each once per CPU (read_exit_context opens their span itself).
+_EXIT_CONTEXT = ((SWITCH_PHASE, (None, _EXIT_REGS, (), None, None, False),
+                  None),)
+_ABORT_CONTEXT = ((SWITCH_PHASE, (None, _ABORT_REGS, (), None, None, False),
+                   None),)
 
 
 def read_exit_context(ops, is_abort=False):
@@ -255,11 +241,19 @@ def read_exit_context(ops, is_abort=False):
     ESR/ELR/SPSR always; FAR and HPFAR additionally for aborts
     (the Device I/O benchmark's two extra traps relative to Hypercall).
     The per-cpu pointer (TPIDR_EL2) and the HCR (pending-vSError check)
-    are also read on every entry; under NEVE both are deferred.
+    are also read on every entry; under NEVE both are deferred.  Only
+    the accesses matter, so the values are dropped.
     """
-    with cpu_span(ops.cpu, "ws.read_exit_context", is_abort=is_abort):
-        values = _run(ops, _ABORT_CONTEXT if is_abort else _EXIT_CONTEXT)
-        return dict(zip(_EXIT_CONTEXT_KEYS, values))
+    cpu = ops.cpu
+    program = _ABORT_CONTEXT if is_abort else _EXIT_CONTEXT
+    with cpu_span(cpu, "ws.read_exit_context", is_abort=is_abort):
+        switch = (cpu.compiled_switch(program, ops.vhe, ())
+                  if cpu.block_eligible() else None)
+        if switch is not None:
+            cpu.run_switch(switch, (), None)
+        else:
+            _per_access(cpu, ops.steps(
+                _ABORT_REGS if is_abort else _EXIT_REGS), None, ())
 
 
 def prepare_exception_return(ops, elr, spsr):
@@ -300,7 +294,7 @@ _DEACTIVATE_TRAPS = (
 
 
 def _activate_phase(vttbr, guest_hcr=HCR_GUEST_FLAGS):
-    return ("ws.activate_traps", _ACTIVATE_TRAPS, None, (
+    return ("ws.activate_traps", _ACTIVATE_TRAPS, (
         guest_hcr,
         1,  # CPTR_EL2: trap FP/SIMD until first use
         1,  # MDCR_EL2: trap debug
@@ -315,8 +309,8 @@ def _activate_phase(vttbr, guest_hcr=HCR_GUEST_FLAGS):
 
 def _deactivate_phase(vhe, host_hcr=HCR_HOST_FLAGS):
     hcr = host_hcr | (HCR_E2H if vhe else 0)
-    return ("ws.deactivate_traps", _DEACTIVATE_TRAPS, None, (hcr, 0, 0, 0),
-            None, None, True)
+    return ("ws.deactivate_traps", _DEACTIVATE_TRAPS, (hcr, 0, 0, 0), None,
+            None, True)
 
 
 def activate_traps(ops, vhe, vttbr, guest_hcr=HCR_GUEST_FLAGS):
@@ -496,16 +490,16 @@ _TIMER_RESTORE_VHE = _TIMER_RESTORE + (("CNTV_CTL_EL0", "raw", WRITE),)
 
 
 def _timer_save_phase(vhe):
-    return ("ws.timer_save", _TIMER_SAVE_VHE if vhe else _TIMER_SAVE, None,
+    return ("ws.timer_save", _TIMER_SAVE_VHE if vhe else _TIMER_SAVE,
             (0, 3), None, None, False)
 
 
 def _timer_restore_phase(vhe):
     if vhe:
-        return ("ws.timer_restore", _TIMER_RESTORE_VHE, None, (0x1000, 0, 1),
-                None, None, False)
-    return ("ws.timer_restore", _TIMER_RESTORE, None, (0x1000, 0), None,
-            None, False)
+        return ("ws.timer_restore", _TIMER_RESTORE_VHE, (0x1000, 0, 1), None,
+                None, False)
+    return ("ws.timer_restore", _TIMER_RESTORE, (0x1000, 0), None, None,
+            False)
 
 
 def timer_save(ops, ctx, vhe):
@@ -593,15 +587,21 @@ def guest_switch_program(vhe, gic_mmio, vttbr):
 def run_switch(ops, program, structs, vcpu):
     """Run a switch program phase by phase: the reference runner, taken
     whenever anything observes the CPU.  Each register phase opens its
-    own span with its fault points and charges per block; *structs* fill
-    the program's slots; *vcpu* owns the list registers the vGIC steps
-    move (``used_lrs`` and its queued interrupts)."""
+    own span with its fault points; at real EL2 it runs as a compiled
+    one-phase program, so *program* must be interned (one of
+    ``KvmHypervisor``'s).  *structs* fill the program's slots; *vcpu*
+    owns the list registers the vGIC steps move (``used_lrs`` and its
+    queued interrupts)."""
     cpu = ops.cpu
-    for step in program:
+    compiled = cpu.block_eligible()
+    for index, step in enumerate(program):
         kind = step[0]
         if kind == SWITCH_PHASE:
-            slot = step[2]
-            _run_phase(ops, step[1], None if slot is None else structs[slot])
+            _kind, phase, slot = step
+            switch = (cpu.compiled_switch(program, ops.vhe, structs, index)
+                      if compiled else None)
+            _run_phase(ops, phase, None if slot is None else structs[slot],
+                       switch, structs)
         elif kind == SWITCH_WORK:
             cpu.work(step[1], category=step[2])
         elif kind == SWITCH_BARRIER:

@@ -80,7 +80,7 @@ class PageTable:
         self.fmt = fmt
         self.name = name
         self._entries = {}
-        self._blocks = {}  # block-aligned input -> Mapping (2 MB blocks)
+        self._block_entries = {}  # block-aligned input -> 2 MB Mapping
 
     def map_page(self, in_addr, out_addr, perm=Permission.RWX,
                  is_device=False):
@@ -110,17 +110,17 @@ class PageTable:
         """
         if in_addr & BLOCK_MASK or out_addr & BLOCK_MASK:
             raise ValueError("block mappings must be 2 MB aligned")
-        self._blocks[in_addr] = Mapping(out_addr, perm, is_device)
+        self._block_entries[in_addr] = Mapping(out_addr, perm, is_device)
 
     def unmap_page(self, in_addr):
         self._entries.pop(page_align(in_addr), None)
 
     def unmap_block(self, in_addr):
-        self._blocks.pop(block_align(in_addr), None)
+        self._block_entries.pop(block_align(in_addr), None)
 
     def unmap_all(self):
         self._entries.clear()
-        self._blocks.clear()
+        self._block_entries.clear()
 
     def lookup(self, in_addr):
         """Return the page-granular Mapping for *in_addr* or None.
@@ -131,7 +131,7 @@ class PageTable:
         page = self._entries.get(page_align(in_addr))
         if page is not None:
             return page
-        block = self._blocks.get(block_align(in_addr))
+        block = self._block_entries.get(block_align(in_addr))
         if block is None:
             return None
         offset = page_align(in_addr) - block_align(in_addr)
@@ -140,11 +140,11 @@ class PageTable:
 
     def lookup_block(self, in_addr):
         """The raw block entry covering *in_addr*, if any."""
-        return self._blocks.get(block_align(in_addr))
+        return self._block_entries.get(block_align(in_addr))
 
     @property
     def block_count(self):
-        return len(self._blocks)
+        return len(self._block_entries)
 
     def translate(self, in_addr, perm=Permission.R):
         """Translate *in_addr*, raising TranslationFault on failure."""

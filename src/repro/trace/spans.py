@@ -211,16 +211,10 @@ class Tracer:
 
     def attach_machine(self, machine):
         """Attach to *machine*'s shared ledger and install ``tracer``
-        on every cpu (plus any NeveRunner deferred pages reachable via
-        the machine's VMs)."""
+        on every cpu."""
         self.attach(machine.ledger)
         for cpu in machine.cpus:
             self.attach_to(cpu)
-        for vm in getattr(machine.kvm, "vms", []) or []:
-            for vcpu in vm.vcpus:
-                runner = getattr(vcpu, "neve", None)
-                if runner is not None and getattr(runner, "page", None) is not None:
-                    self.attach_to(runner.page)
         return self
 
     def attach_to(self, obj):

@@ -1,4 +1,4 @@
-"""IntegrityMonitor and RecoveryManager: audit, resync, degrade.
+"""The integrity monitor and RecoveryManager: audit, resync, degrade.
 
 Includes the resync idempotence property: resyncing twice leaves the
 page byte-identical to resyncing once, and the second pass performs no
@@ -11,7 +11,7 @@ from repro.arch.features import ArchConfig, ArchVersion, GicVersion
 from repro.core.vncr import deferred_offset, deferred_registers
 from repro.faults.plan import FaultPlan
 from repro.faults.points import FaultInjector
-from repro.faults.recovery import IntegrityMonitor, RecoveryManager
+from repro.faults.recovery import MachineIntegrityMonitor, RecoveryManager
 from repro.hypervisor.kvm import Machine
 from repro.metrics.counters import RecoveryEvent
 from repro.metrics.cycles import ARM_COSTS
@@ -27,9 +27,14 @@ def _nested_machine():
     return machine, vcpu
 
 
+def _monitor(machine, vcpu):
+    """*vcpu*'s window in a freshly installed machine-wide monitor."""
+    return MachineIntegrityMonitor(machine.memory).install().track(
+        vcpu.vcpu_id, vcpu.neve.page.baddr)
+
+
 def _manager(machine, vcpu):
-    monitor = IntegrityMonitor(machine.memory,
-                               vcpu.neve.page.baddr).install()
+    monitor = _monitor(machine, vcpu)
     injector = FaultInjector(FaultPlan(0, []))
     return monitor, RecoveryManager(machine, vcpu, monitor, injector)
 
@@ -39,13 +44,13 @@ def _page_words(machine, baddr):
             for reg in deferred_registers()]
 
 
-# -- IntegrityMonitor --------------------------------------------------------
+# -- the integrity monitor's window -----------------------------------------
 
 
 def test_tracked_writes_keep_audit_clean():
     machine, vcpu = _nested_machine()
     baddr = vcpu.neve.page.baddr
-    monitor = IntegrityMonitor(machine.memory, baddr).install()
+    monitor = _monitor(machine, vcpu)
     addr = baddr + deferred_offset("TPIDR_EL1")
     machine.memory.write_word(addr, 0xDEAD_BEEF)
     assert monitor.expected[deferred_offset("TPIDR_EL1")] == 0xDEAD_BEEF
@@ -55,7 +60,7 @@ def test_tracked_writes_keep_audit_clean():
 def test_raw_write_is_reported_by_audit():
     machine, vcpu = _nested_machine()
     baddr = vcpu.neve.page.baddr
-    monitor = IntegrityMonitor(machine.memory, baddr).install()
+    monitor = _monitor(machine, vcpu)
     offset = deferred_offset("PMSELR_EL0")
     before = machine.memory.read_word(baddr + offset)
     monitor.raw_write(baddr + offset, before ^ 0xFF)
@@ -65,7 +70,7 @@ def test_raw_write_is_reported_by_audit():
 def test_uninstall_restores_plain_writes():
     machine, vcpu = _nested_machine()
     baddr = vcpu.neve.page.baddr
-    monitor = IntegrityMonitor(machine.memory, baddr).install()
+    monitor = _monitor(machine, vcpu)
     monitor.uninstall()
     assert not monitor.installed
     offset = deferred_offset("PMSELR_EL0")
@@ -76,9 +81,8 @@ def test_uninstall_restores_plain_writes():
 
 
 def test_double_install_rejected():
-    machine, vcpu = _nested_machine()
-    monitor = IntegrityMonitor(machine.memory,
-                               vcpu.neve.page.baddr).install()
+    machine, _vcpu = _nested_machine()
+    monitor = MachineIntegrityMonitor(machine.memory).install()
     with pytest.raises(RuntimeError):
         monitor.install()
 
@@ -86,7 +90,7 @@ def test_double_install_rejected():
 def test_rebase_moves_the_audit_window():
     machine, vcpu = _nested_machine()
     baddr = vcpu.neve.page.baddr
-    monitor = IntegrityMonitor(machine.memory, baddr).install()
+    monitor = _monitor(machine, vcpu)
     new_baddr = machine.kvm.alloc_vncr_page()
     for reg in deferred_registers():
         machine.memory.write_word(

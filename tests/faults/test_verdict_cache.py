@@ -12,7 +12,7 @@ and demands trap counts identical to an uncached reference machine.
 
 from repro.faults.plan import FaultPlan
 from repro.faults.points import FaultInjector
-from repro.faults.recovery import IntegrityMonitor, RecoveryManager
+from repro.faults.recovery import MachineIntegrityMonitor, RecoveryManager
 from repro.harness.configs import ALL_CONFIGS, arm_arch_for
 from repro.hypervisor.kvm import Machine
 from repro.metrics.cycles import ARM_COSTS
@@ -27,8 +27,8 @@ def _lifecycle_trap_counts(fastpath):
     vm = machine.kvm.create_vm(num_vcpus=1, nested="neve")
     vcpu = vm.vcpus[0]
     machine.kvm.boot_nested(vcpu)
-    monitor = IntegrityMonitor(machine.memory,
-                               vcpu.neve.page.baddr).install()
+    monitor = MachineIntegrityMonitor(machine.memory).install().track(
+        vcpu.vcpu_id, vcpu.neve.page.baddr)
     recovery = RecoveryManager(machine, vcpu, monitor,
                                FaultInjector(FaultPlan(0, [])))
 
@@ -74,8 +74,8 @@ def test_degrade_and_repromote_invalidate_cache():
     vm = machine.kvm.create_vm(num_vcpus=1, nested="neve")
     vcpu = vm.vcpus[0]
     machine.kvm.boot_nested(vcpu)
-    monitor = IntegrityMonitor(machine.memory,
-                               vcpu.neve.page.baddr).install()
+    monitor = MachineIntegrityMonitor(machine.memory).install().track(
+        vcpu.vcpu_id, vcpu.neve.page.baddr)
     recovery = RecoveryManager(machine, vcpu, monitor,
                                FaultInjector(FaultPlan(0, [])))
     vcpu.cpu.hvc(0)

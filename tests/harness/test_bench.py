@@ -180,6 +180,18 @@ class TestMain:
         assert "REGRESSION" not in captured.out
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_bad_dir_rejected(self, tmp_path, capsys, kind):
+        """A --dir that is not an existing directory is a usage error
+        before any run, not a traceback after the whole sweep."""
+        path = tmp_path / kind
+        if kind == "file":
+            path.write_text("")
+        assert bench.main(["--dir", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "--dir" in captured.err
+        assert captured.out == ""
+
     def test_unknown_flag_rejected(self, capsys):
         assert bench.main(["--frobnicate"]) == 2
 

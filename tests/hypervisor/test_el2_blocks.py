@@ -1,16 +1,18 @@
-"""L0's compiled EL2 register blocks and compiled world switches
-against the per-access and per-phase paths.
+"""L0's compiled switch programs against the per-access and per-phase
+paths.
 
-At real EL2 the host hypervisor runs its fixed world-switch register
-sequences as compiled blocks (``Cpu.run_block``): one bulk move and one
-summed charge per category.  When nothing observes the CPU it runs each
-whole world switch as one compiled switch (``Cpu.run_switch``): a few
-bulk moves and one charge per category for the direction.  The
-per-access and per-phase paths are the references.  These tests force
-them by patching the eligibility predicates (``Cpu.block_eligible``
-turns both off, ``Cpu.switch_eligible`` only the compiled switch) and
-require every observable to match: cycles, traps, the ledger's
-categories in order, register state, list registers and exports.
+At real EL2 the host hypervisor has one compiler for its register code
+(``Cpu.compile_switch``, run by ``Cpu.run_switch``), at two sizes.
+When nothing observes the CPU it runs each whole world switch as one
+compiled switch: a few bulk moves and one charge per category for the
+direction.  Otherwise the per-phase runner runs each register phase as
+a compiled one-phase program, as ``read_exit_context`` does on every
+trap.  The per-access and per-phase paths are the references.  These
+tests force them by patching the eligibility predicates
+(``Cpu.block_eligible`` turns both sizes off, ``Cpu.switch_eligible``
+only the whole switch) and require every observable to match: cycles,
+traps, the ledger's categories in order, register state, list
+registers and exports.
 """
 
 import pytest
@@ -22,6 +24,7 @@ from repro.arch.cpu import (
     BLOCK_RESTORE,
     BLOCK_SAVE,
     BLOCK_WRITE,
+    SWITCH_PHASE,
     Cpu,
     Encoding,
 )
@@ -55,17 +58,30 @@ def force_per_phase(monkeypatch):
     monkeypatch.setattr(Cpu, "switch_eligible", lambda self: False)
 
 
+def count_compiled(monkeypatch):
+    """The compiled programs run from now on, in two lists: whole switch
+    programs, and one-phase programs (a phase of the per-phase runner,
+    or the exit context).  Every caller of ``Cpu.compiled_switch`` runs
+    the switch it gets."""
+    whole, one_phase = [], []
+    compiled_switch = Cpu.compiled_switch
+
+    def counting(self, program, vhe, structs, phase=None):
+        switch = compiled_switch(self, program, vhe, structs, phase)
+        if switch is not None:
+            if phase is None and len(program) > 1:
+                whole.append(program)
+            else:
+                one_phase.append(program)
+        return switch
+
+    monkeypatch.setattr(Cpu, "compiled_switch", counting)
+    return whole, one_phase
+
+
 def count_compiled_switches(monkeypatch):
-    """The compiled switches run from now on, in a list."""
-    ran = []
-    run_switch = Cpu.run_switch
-
-    def counting(self, switch, structs, vcpu):
-        ran.append(switch)
-        return run_switch(self, switch, structs, vcpu)
-
-    monkeypatch.setattr(Cpu, "run_switch", counting)
-    return ran
+    """The whole compiled switches run from now on, in a list."""
+    return count_compiled(monkeypatch)[0]
 
 
 def regs(struct):
@@ -116,13 +132,13 @@ def campaign_exports(seed, cpus):
     }
 
 
-def assert_parity(blocks, per_access):
-    """Blocks-on and per-access observations must be equal, key by key
+def assert_parity(compiled, reference):
+    """Compiled and reference observations must be equal, key by key
     (lists compare in order, so category order counts too)."""
-    assert blocks.keys() == per_access.keys()
-    for key in blocks:
-        assert blocks[key] == per_access[key], \
-            "%s differs between compiled blocks and per-access" % key
+    assert compiled.keys() == reference.keys()
+    for key in compiled:
+        assert compiled[key] == reference[key], \
+            "%s differs between the compiled and the reference run" % key
 
 
 # ---------------------------------------------------------------------------
@@ -132,31 +148,25 @@ def assert_parity(blocks, per_access):
 @pytest.mark.parametrize("config", ARM_CONFIGS)
 @pytest.mark.parametrize("bench", MICROBENCHMARKS)
 def test_microbench_cells_match_per_access(monkeypatch, config, bench):
-    blocks = microbench_state(config, bench)
+    compiled = microbench_state(config, bench)
     force_per_access(monkeypatch)
-    assert_parity(blocks, microbench_state(config, bench))
+    assert_parity(compiled, microbench_state(config, bench))
 
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("cpus", (1, 2))
 def test_campaign_exports_match_per_access(monkeypatch, seed, cpus):
-    ran = []
-    run_block = Cpu.run_block
-
-    def counting(self, block, ctx=None, values=()):
-        ran.append(block)
-        return run_block(self, block, ctx, values)
-
-    monkeypatch.setattr(Cpu, "run_block", counting)
-    blocks = campaign_exports(seed, cpus)
-    assert ran, "no compiled block ran in the campaign"
+    _whole, one_phase = count_compiled(monkeypatch)
+    compiled = campaign_exports(seed, cpus)
+    assert one_phase, "no one-phase compiled program ran in the campaign"
     force_per_access(monkeypatch)
-    assert_parity(blocks, campaign_exports(seed, cpus))
+    assert_parity(compiled, campaign_exports(seed, cpus))
 
 
 def test_blocks_replace_l0_sysreg_accesses(monkeypatch):
     """Non-vacuity: an arm-nested hypercall makes far fewer per-access
-    sysreg calls with blocks on (only the guest hypervisor's remain)."""
+    sysreg calls with compiled programs on (only the guest hypervisor's
+    remain)."""
     calls = []
     sysreg_access = Cpu.sysreg_access
 
@@ -166,53 +176,62 @@ def test_blocks_replace_l0_sysreg_accesses(monkeypatch):
 
     monkeypatch.setattr(Cpu, "sysreg_access", counting)
     microbench_state("arm-nested", "hypercall")
-    with_blocks = len(calls)
+    compiled = len(calls)
     del calls[:]
     force_per_access(monkeypatch)
     microbench_state("arm-nested", "hypercall")
-    assert with_blocks * 20 < len(calls)
+    assert compiled * 20 < len(calls)
 
 
 def test_edited_el1_state_recompiles_and_moves_the_count(monkeypatch):
-    """Blocks are keyed by the register tuples' values: dropping one
-    register from EL1_STATE changes both paths alike, and the change
-    shows in the arm-nested hypercall's cycles."""
+    """A machine builds its switch programs from the register tuples as
+    they stand: dropping one register from EL1_STATE changes both paths
+    alike, and the change shows in the arm-nested hypercall's cycles."""
     baseline = microbench_state("arm-nested", "hypercall")
     monkeypatch.setattr(ws, "EL1_STATE", ws.EL1_STATE[:-1])
-    blocks = microbench_state("arm-nested", "hypercall")
+    compiled = microbench_state("arm-nested", "hypercall")
     force_per_access(monkeypatch)
-    assert_parity(blocks, microbench_state("arm-nested", "hypercall"))
-    assert blocks["result"][0] != baseline["result"][0]
+    assert_parity(compiled, microbench_state("arm-nested", "hypercall"))
+    assert compiled["result"][0] != baseline["result"][0]
+
+
+@pytest.mark.parametrize("config", ("arm-nested", "neve-nested"))
+@pytest.mark.parametrize("observed", (True, False))
+def test_compile_cache_stays_bounded(monkeypatch, config, observed):
+    """Only interned programs are compiled, so after a warm-up hypercall
+    50 more add no entry to any CPU's cache: with trace and metrics
+    attached (*observed*: every L0 switch runs per phase) and with
+    nothing attached (whole switches)."""
+    suite = make_microbench(config)
+    machine, cpu = suite.machine, suite.vm.vcpus[0].cpu
+    if observed:
+        Tracer().attach_machine(machine)
+        MachineMetrics(registry=MetricsRegistry(),
+                       config="bounded").attach_machine(machine)
+    whole, one_phase = count_compiled(monkeypatch)
+    cpu.hvc()
+    warm = [len(each._switches) for each in machine.cpus]
+    for _ in range(50):
+        cpu.hvc()
+    assert [len(each._switches) for each in machine.cpus] == warm
+    assert one_phase
+    assert bool(whole) is not observed
 
 
 # ---------------------------------------------------------------------------
 # Seeded violations: the parity helper must be able to fail
 # ---------------------------------------------------------------------------
 
-class _UnchargedStores:
-    """A vcpu struct whose bulk stores move data but do not charge."""
-
-    def __init__(self, struct):
-        self.struct = struct
-
-    def load_many(self, names):
-        return self.struct.load_many(names)
-
-    def save_many(self, names, values):
-        self.struct.regs.write_many(names, values)
-
-
 def test_parity_catches_an_extra_cycle(monkeypatch):
-    force_per_phase(monkeypatch)  # L0's switches run their blocks
+    force_per_phase(monkeypatch)  # L0's phases run as one-phase programs
     expected = microbench_state("arm-nested", "hypercall")
-    run_block = Cpu.run_block
+    run_switch = Cpu.run_switch
 
-    def one_more(self, block, ctx=None, values=()):
-        out = run_block(self, block, ctx, values)
+    def one_more(self, switch, structs, vcpu):
+        run_switch(self, switch, structs, vcpu)
         self.ledger.charge(1, "sysreg")
-        return out
 
-    monkeypatch.setattr(Cpu, "run_block", one_more)
+    monkeypatch.setattr(Cpu, "run_switch", one_more)
     with pytest.raises(AssertionError):
         assert_parity(microbench_state("arm-nested", "hypercall"),
                       expected)
@@ -220,18 +239,19 @@ def test_parity_catches_an_extra_cycle(monkeypatch):
 
 def test_parity_catches_world_switch_charged_before_sysreg_on_save(
         monkeypatch):
-    force_per_phase(monkeypatch)  # L0's switches run their blocks
+    force_per_phase(monkeypatch)  # L0's phases run as one-phase programs
     expected = microbench_state("arm-vm", "hypercall")
-    run_block = Cpu.run_block
+    compile_switch = Cpu.compile_switch
 
-    def stores_first(self, block, ctx=None, values=()):
-        if not block.saves:
-            return run_block(self, block, ctx, values)
-        self.ledger.charge(len(block.saves) * self.costs.mem_store,
-                           "world_switch")
-        return run_block(self, block, _UnchargedStores(ctx), values)
+    def stores_first(self, program, vhe, categories):
+        switch = compile_switch(self, program, vhe, categories)
+        (_kind, phase, _slot), = program
+        if switch is not None and any(op == BLOCK_SAVE
+                                      for _name, _acc, op in phase[1]):
+            switch.charges = switch.charges[::-1]
+        return switch
 
-    monkeypatch.setattr(Cpu, "run_block", stores_first)
+    monkeypatch.setattr(Cpu, "compile_switch", stores_first)
     observed = microbench_state("arm-vm", "hypercall")
     assert observed["result"] == expected["result"]  # same totals...
     with pytest.raises(AssertionError):
@@ -245,13 +265,14 @@ def test_parity_catches_world_switch_charged_before_sysreg_on_save(
 @pytest.mark.parametrize("config", ARM_CONFIGS)
 @pytest.mark.parametrize("bench", MICROBENCHMARKS)
 def test_microbench_cells_match_per_phase(monkeypatch, config, bench):
-    ran = count_compiled_switches(monkeypatch)
+    whole, one_phase = count_compiled(monkeypatch)
     compiled = microbench_state(config, bench)
-    assert ran, "no compiled switch ran"
+    assert whole, "no compiled switch ran"
     force_per_phase(monkeypatch)
-    del ran[:]
+    del whole[:], one_phase[:]
     per_phase = microbench_state(config, bench)
-    assert not ran
+    assert not whole, "a whole-program switch ran per phase"
+    assert one_phase, "no phase ran as a one-phase program"
     assert_parity(compiled, per_phase)
 
 
@@ -366,8 +387,8 @@ def test_system_register_l0_gic_runs_per_phase(monkeypatch):
 
 
 def test_vhe_l0_switch_does_not_compile():
-    """A VHE L0's EL1 context moves through *_EL12 aliases, which no
-    block compiles."""
+    """A VHE L0's EL1 context moves through *_EL12 aliases, which never
+    compile."""
     cpu = Machine(arch=ARMV8_4).cpus[0]
     categories = ("world_switch", "world_switch")
     assert cpu.compile_switch(ws.host_switch_program(True, True), True,
@@ -442,7 +463,8 @@ def test_switch_parity_catches_first_charges_swapped(monkeypatch):
         finally:
             self.ledger = ledger
         charges = log.charges
-        charges[0], charges[1] = charges[1], charges[0]
+        if len(charges) > 1:  # a lone exit-context read charges once
+            charges[0], charges[1] = charges[1], charges[0]
         for cycles, category in charges:
             ledger.charge(cycles, category)
 
@@ -472,24 +494,35 @@ def test_switch_parity_catches_a_dropped_register_move(monkeypatch):
 # Compilation
 # ---------------------------------------------------------------------------
 
+def one_phase(steps, values=(), slot=0):
+    """A one-phase switch program of ``(register, accessor, op)``
+    *steps*, its writes taking *values*."""
+    return ((SWITCH_PHASE, ("test", steps, values, None, None, False),
+             slot),)
+
+
+def compiles(cpu, steps, vhe=False):
+    program = one_phase(steps, (0,) * len(steps))
+    return cpu.compile_switch(program, vhe, ("world_switch",)) is not None
+
+
 def test_compile_rejects_steps_that_are_not_register_moves():
     cpu = Cpu(arch=ARMV8_3)
-    assert cpu.compile_block((("SCTLR_EL1", Encoding.NORMAL,
-                               BLOCK_SAVE),)) is not None
+    save = ("SCTLR_EL1", "raw", BLOCK_SAVE)
+    assert compiles(cpu, (save,))
     rejected = (
-        ("SCTLR_EL1", Encoding.EL12, BLOCK_READ),  # VHE alias
-        ("ICC_PMR_EL1", Encoding.NORMAL, BLOCK_READ),  # GIC CPU interface
-        ("VNCR_EL2", Encoding.NORMAL, BLOCK_WRITE),
-        ("ICH_VTR_EL2", Encoding.NORMAL, BLOCK_RESTORE),  # read-only
+        (("SCTLR_EL1", "vm", BLOCK_READ), True),  # VHE alias (*_EL12)
+        (("ICC_PMR_EL1", "raw", BLOCK_READ), False),  # GIC CPU interface
+        (("VNCR_EL2", "raw", BLOCK_WRITE), False),
+        (("ICH_VTR_EL2", "raw", BLOCK_RESTORE), False),  # read-only
     )
-    for step in rejected:
-        prefix = (("SCTLR_EL1", Encoding.NORMAL, BLOCK_SAVE),)
-        assert cpu.compile_block(prefix + (step,)) is None, step
-    assert cpu.compile_block(()) is None
+    for step, vhe in rejected:
+        assert not compiles(cpu, (save, step), vhe), step
+    assert not compiles(cpu, ())
     # vhe_only registers UNDEF before the charge without FEAT_VHE.
-    step = ("TTBR1_EL2", Encoding.NORMAL, BLOCK_READ)
-    assert cpu.compile_block((step,)) is not None
-    assert Cpu(arch=ARMV8_0).compile_block((step,)) is None
+    step = ("TTBR1_EL2", "raw", BLOCK_READ)
+    assert compiles(cpu, (step,))
+    assert not compiles(Cpu(arch=ARMV8_0), (step,))
 
 
 def test_compiled_routes_follow_the_vhe_host_redirect():
@@ -497,22 +530,36 @@ def test_compiled_routes_follow_the_vhe_host_redirect():
     register, as the ladder routes it."""
     cpu = Cpu(arch=ARMV8_4)
     cpu.host_e2h = True
-    block = cpu.compile_block((("SCTLR_EL1", Encoding.NORMAL, BLOCK_WRITE),))
-    cpu.run_block(block, values=(0x55,))
+    switch = cpu.compile_switch(
+        one_phase((("SCTLR_EL1", "raw", BLOCK_WRITE),), (0x55,), None),
+        False, ())
+    cpu.run_switch(switch, (), None)
     assert cpu.el2_regs.read("SCTLR_EL2") == 0x55
     assert cpu.el1_regs.read("SCTLR_EL1") == 0
 
 
-SEQUENCES = {
-    "save_el1_state": lambda ops, ctx: ws.save_el1_state(ops, ctx),
-    "restore_el1_state": lambda ops, ctx: ws.restore_el1_state(ops, ctx),
-    "read_exit_context": lambda ops, ctx: ws.read_exit_context(ops, True),
-    "activate_traps": lambda ops, ctx: ws.activate_traps(ops, ops.vhe,
-                                                         0x1234),
-    "deactivate_traps": lambda ops, ctx: ws.deactivate_traps(ops, ops.vhe),
-    "timer_save": lambda ops, ctx: ws.timer_save(ops, ctx, ops.vhe),
-    "timer_restore": lambda ops, ctx: ws.timer_restore(ops, ctx, ops.vhe),
-}
+def l0_phases(vhe):
+    """L0's register phases by span name, each as a one-phase program
+    whose slot names the single vcpu struct a test passes twice."""
+    steps = ws.host_switch_program(vhe, True) + ws.guest_switch_program(
+        vhe, True, 0x1234)
+    return {step[1][0]: (step,) for step in steps
+            if step[0] == SWITCH_PHASE}
+
+
+def run_sequence(sequence, ops, ctx):
+    """Run one of L0's register sequences on its own at real EL2, as
+    the per-phase runner and read_exit_context do."""
+    if sequence == "read_exit_context":
+        ws.read_exit_context(ops, True)
+    else:
+        ws.run_switch(ops, l0_phases(ops.vhe)["ws." + sequence],
+                      (ctx, ctx), None)
+
+
+SEQUENCES = ("save_el1_state", "restore_el1_state", "read_exit_context",
+             "activate_traps", "deactivate_traps", "timer_save",
+             "timer_restore")
 
 
 def sequence_state(sequence, vhe):
@@ -525,9 +572,8 @@ def sequence_state(sequence, vhe):
     for number, name in enumerate(names, 1):
         ctx.poke(name, number)
     cpu.el1_regs.write_many(names, [0x100 + n for n in range(len(names))])
-    returned = SEQUENCES[sequence](ws.make_ops(cpu, vhe), ctx)
+    run_sequence(sequence, ws.make_ops(cpu, vhe), ctx)
     return {
-        "returned": returned,
         "ledger": list(cpu.ledger.by_category.items()),
         "hardware": (list(cpu.el1_regs.as_dict().items()),
                      list(cpu.el2_regs.as_dict().items())),
@@ -539,9 +585,9 @@ def sequence_state(sequence, vhe):
 @pytest.mark.parametrize("vhe", (False, True))
 def test_each_sequence_matches_per_access_on_a_fresh_ledger(
         monkeypatch, sequence, vhe):
-    blocks = sequence_state(sequence, vhe)
+    compiled = sequence_state(sequence, vhe)
     force_per_access(monkeypatch)
-    assert_parity(blocks, sequence_state(sequence, vhe))
+    assert_parity(compiled, sequence_state(sequence, vhe))
 
 
 class RecordingLedger(CycleLedger):
@@ -563,7 +609,7 @@ def test_timer_restore_charges_sysreg_first():
     feed later writes: one summed charge per category, sysreg first."""
     ledger = RecordingLedger()
     cpu = Cpu(arch=ARMV8_3, ledger=ledger)
-    ws.timer_restore(ws.make_ops(cpu, False), VcpuStruct(cpu), False)
+    run_sequence("timer_restore", ws.make_ops(cpu, False), VcpuStruct(cpu))
     assert ledger.categories == ["sysreg", "world_switch"]
 
 
@@ -592,10 +638,11 @@ def _l0_world_switch(suite):
 
 
 def test_fault_injector_never_counts_real_el2_accesses(monkeypatch):
-    """Blocks skip the fault hook, which is only sound while its
-    ``cpu.msr``/``cpu.mrs``/``cpu.serror`` points ignore real-EL2
-    accesses.  If this fails, the blocks must now honour the injector
-    (run per access while it is attached, or answer it per block)."""
+    """Compiled programs skip the fault hook, which is only sound while
+    its ``cpu.msr``/``cpu.mrs``/``cpu.serror`` points ignore real-EL2
+    accesses.  If this fails, compiled phases must now honour the
+    injector (run per access while it is attached, or answer it per
+    phase)."""
     force_per_access(monkeypatch)
     suite = make_microbench("arm-vm")
     plan = FaultPlan(0, [
@@ -616,10 +663,10 @@ def test_fault_injector_never_counts_real_el2_accesses(monkeypatch):
 
 
 def test_sanitizer_records_no_checks_for_real_el2_accesses(monkeypatch):
-    """Blocks bypass the sanitizer's sysreg wrapper, which is only
-    sound while it checks nothing at real EL2 for NORMAL encodings.  If
-    this fails, the blocks must now honour the sanitizer (run per
-    access while it is installed)."""
+    """Compiled programs bypass the sanitizer's sysreg wrapper, which is
+    only sound while it checks nothing at real EL2 for NORMAL encodings.
+    If this fails, compiled phases must now honour the sanitizer (run
+    per access while it is installed)."""
     calls = []
     sysreg_access = Cpu.sysreg_access
 
