@@ -13,9 +13,9 @@ import sys
 SUBCOMMANDS = (
     ("lint", "repro.analysis.cli",
      "spec-conformance checker, simulator-invariant lint, the "
-     "runtime-sanitizer scenario, the fast-path parity gate "
-     "(san-fastpath-parity, skip with --no-fastpath) and the "
-     "shared-state shardability gate (--statecheck)"),
+     "runtime-sanitizer scenario, the telemetry and fleet-merge "
+     "checks, the doc lint and the shared-state shardability gate "
+     "(--statecheck)"),
     ("faults", "repro.faults.cli",
      "seeded fault-injection campaigns with the recovery paths armed"),
     ("trace", "repro.trace.cli",

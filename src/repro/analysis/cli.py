@@ -5,8 +5,7 @@ the spec-conformance checker, the AST lint over the ``repro`` package
 sources, the sanitized exit-multiplication smoke scenario, the
 telemetry-registry checks (``san-metrics-reconcile``,
 ``san-metrics-ledger``), the fleet merge-determinism check
-(``san-fleet-merge``), the dispatch fast-path parity check
-(``san-fastpath-parity``), and the doc lint (``doc-link``,
+(``san-fleet-merge``), and the doc lint (``doc-link``,
 ``doc-subcommand``) over ``README.md`` and ``docs/``.  Any finding
 fails the run (exit status 1), which is what CI keys on.
 
@@ -25,7 +24,6 @@ Usage::
     python -m repro lint --no-metrics     # skip the registry checks
     python -m repro lint --no-docs        # skip the doc lint
     python -m repro lint --no-fleet       # skip the san-fleet-merge check
-    python -m repro lint --no-fastpath    # skip san-fastpath-parity
     python -m repro lint --no-statecheck  # skip the shared-state passes
     python -m repro lint --statecheck     # shardability report only
     python -m repro lint --statecheck --statecheck-json report.json
@@ -68,9 +66,6 @@ def build_parser():
     parser.add_argument("--no-fleet", action="store_true",
                         help="skip the fleet merge-determinism check "
                              "(san-fleet-merge)")
-    parser.add_argument("--no-fastpath", action="store_true",
-                        help="skip the dispatch fast-path parity check "
-                             "(san-fastpath-parity)")
     parser.add_argument("--no-statecheck", action="store_true",
                         help="skip the shared-state passes (static "
                              "shardability gate + san-shared-state)")
@@ -180,13 +175,6 @@ def main(argv=None):
         report = check_fleet_merge()
         findings.extend(report.violations)
         passes.append(("fleet-merge[%d checks]" % report.checks,
-                       len(report.violations)))
-
-    if not args.no_fastpath:
-        from repro.analysis.sanitizer import check_fastpath_parity
-        report = check_fastpath_parity()
-        findings.extend(report.violations)
-        passes.append(("fastpath-parity[%d checks]" % report.checks,
                        len(report.violations)))
 
     if not args.no_statecheck:

@@ -50,7 +50,7 @@ _DICT_MUTATORS = {"clear", "pop", "popitem", "update", "setdefault"}
 _RANDOM_SAFE = {"Random", "SystemRandom"}
 _REGFILE_ATTRS = {"el1_regs", "el2_regs"}
 #: RegisterFile methods that change a bank's values.
-_REGFILE_MUTATORS = {"write", "write_many", "put_many", "copy_from"}
+_REGFILE_MUTATORS = {"write", "put_many", "copy_from"}
 
 
 def _attr_chain(node):

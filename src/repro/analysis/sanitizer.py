@@ -432,109 +432,6 @@ def check_fleet_merge(report=None, machines=3, seed=0):
     return report
 
 
-def _fastpath_scenario(mode, hypercalls, fastpath, guest_vhe=False):
-    """One nested boot + hypercall scenario with the dispatch fast path
-    forced on or off, with a metrics facade and a tracer attached.
-
-    Returns ``(machine, metrics, trace_json)``.
-    """
-    import json as _json
-
-    from repro.harness.configs import ALL_CONFIGS, arm_arch_for
-    from repro.hypervisor.kvm import Machine
-    from repro.metrics.cycles import ARM_COSTS
-    from repro.metrics.instrument import MachineMetrics
-    from repro.trace.export import tracer_payload
-    from repro.trace.spans import Tracer
-
-    config = ALL_CONFIGS["arm-nested" if mode == "nv" else "neve-nested"]
-    machine = Machine(arch=arm_arch_for(config), costs=ARM_COSTS,
-                      fastpath=fastpath)
-    metrics = MachineMetrics(config=config.name)
-    metrics.attach_machine(machine)
-    metrics.registry.clock = lambda: machine.ledger.total
-    tracer = Tracer()
-    tracer.attach_machine(machine)
-    vm = machine.kvm.create_vm(num_vcpus=1, nested=mode,
-                               guest_vhe=guest_vhe)
-    machine.kvm.boot_nested(vm.vcpus[0])
-    for _ in range(hypercalls):
-        vm.vcpus[0].cpu.hvc(0)
-    tracer.stop()
-    trace_json = _json.dumps(tracer_payload(tracer), sort_keys=True,
-                             separators=(",", ":"))
-    return machine, metrics, trace_json
-
-
-def check_fastpath_parity(report=None, modes=("nv", "neve"),
-                          hypercalls=2):
-    """``san-fastpath-parity``: the precompiled dispatch table must be a
-    pure speedup.
-
-    Runs the same seeded scenario twice per mode and VHE flavour — fast
-    path disabled (the classification ladder re-derives every verdict)
-    and enabled (one table lookup per access) — and demands every
-    emergent observable is byte-identical: ledger total and per-category
-    breakdown, trap total and per-reason counts, the metrics registry's
-    JSON and Prometheus exports, and the canonical trace serialization.
-    Also asserts the fast machine actually resolved table entries, so a
-    wiring regression cannot silently compare slow against slow.
-    """
-    if report is None:
-        report = SanitizerReport()
-    for mode in modes:
-        for guest_vhe in (False, True):
-            label = "%s%s" % (mode, "+vhe" if guest_vhe else "")
-            slow_machine, slow_metrics, slow_trace = _fastpath_scenario(
-                mode, hypercalls, fastpath=False, guest_vhe=guest_vhe)
-            fast_machine, fast_metrics, fast_trace = _fastpath_scenario(
-                mode, hypercalls, fastpath=True, guest_vhe=guest_vhe)
-            report.record(
-                fast_machine.dispatch is not None
-                and fast_machine.dispatch.resolutions > 0,
-                "san-fastpath-parity",
-                "[%s] the fast path never resolved a dispatch entry — "
-                "parity would compare slow against slow" % label)
-            report.record(
-                fast_machine.ledger.total == slow_machine.ledger.total,
-                "san-fastpath-parity",
-                "[%s] fast path changed simulated time: ledger %d fast, "
-                "%d slow" % (label, fast_machine.ledger.total,
-                             slow_machine.ledger.total))
-            report.record(
-                fast_machine.ledger.by_category
-                == slow_machine.ledger.by_category,
-                "san-fastpath-parity",
-                "[%s] fast path changed the cycle breakdown" % label)
-            report.record(
-                fast_machine.traps.total == slow_machine.traps.total,
-                "san-fastpath-parity",
-                "[%s] fast path changed trap behaviour: %d traps fast, "
-                "%d slow" % (label, fast_machine.traps.total,
-                             slow_machine.traps.total))
-            report.record(
-                fast_machine.traps.by_reason
-                == slow_machine.traps.by_reason,
-                "san-fastpath-parity",
-                "[%s] fast path changed the per-reason trap counts"
-                % label)
-            report.record(
-                fast_metrics.registry.json_snapshot()
-                == slow_metrics.registry.json_snapshot(),
-                "san-fastpath-parity",
-                "[%s] fast path changed the metrics JSON export" % label)
-            report.record(
-                fast_metrics.registry.prometheus_text()
-                == slow_metrics.registry.prometheus_text(),
-                "san-fastpath-parity",
-                "[%s] fast path changed the Prometheus export" % label)
-            report.record(
-                fast_trace == slow_trace,
-                "san-fastpath-parity",
-                "[%s] fast path changed the traced spans" % label)
-    return report
-
-
 def run_metrics_checks(modes=("nv", "neve"), hypercalls=2):
     """Run both metrics sanitizer checks over the standard scenario;
     returns the combined report (wired into ``python -m repro lint``)."""

@@ -51,7 +51,6 @@ from repro.arch.registers import (
     NeveBehavior,
     RegClass,
     RegisterFile,
-    dispatch_row,
     e2h_counterpart,
     lookup_register,
 )
@@ -301,9 +300,11 @@ class Cpu:
         # bare Cpu instances) keeps the reference ladder below.
         self.dispatch = dispatch
         # Per-CPU verdict cache over the table, keyed (context, name,
-        # encoding, is_write).  The context codes are NEVE-blind, so the
-        # cache MUST be invalidated whenever the hardware VNCR_EL2
-        # enable state may have changed (see invalidate_verdict_cache).
+        # encoding, is_write).  The context codes are NEVE-blind: which
+        # verdicts hold depends only on the hardware VNCR_EL2 enable
+        # bit, and that bit changes only through an EL2 write of
+        # VNCR_EL2 in sysreg_access, which empties the cache (see
+        # invalidate_verdict_cache).
         self._verdicts = {}
         self._neve_verdict_state = None  # cached neve_enabled, or None
 
@@ -553,7 +554,8 @@ class Cpu:
         module docstring.  With a precompiled dispatch table armed, the
         resolution is served from the verdict cache instead of walking
         the classification ladder; the two paths are byte-identical in
-        every observable effect (``san-fastpath-parity``).
+        every observable effect (``tests/arch/test_dispatch.py`` and
+        ``tests/analysis/test_fastpath_parity.py`` compare them).
         """
         if self.dispatch is not None:
             return self._fast_sysreg_access(name, is_write, value, enc)
@@ -654,15 +656,15 @@ class Cpu:
         """Verdict-cache miss: consult the machine's dispatch table
         (which itself resolves each distinct key once, by partial
         evaluation of the ladder) and memoize the action per CPU."""
-        row = dispatch_row(name)
+        reg = lookup_register(name)
         neve = False
         if ctx == CTX_VEL2 or ctx == CTX_VEL2_VHE:
             neve = self._neve_verdict_state
             if neve is None:
                 neve = self.neve_enabled
                 self._neve_verdict_state = neve
-        action = self.dispatch.resolve(ctx, neve, row.reg, enc, is_write)
-        entry = (row.reg, action)
+        action = self.dispatch.resolve(ctx, neve, reg, enc, is_write)
+        entry = (reg, action)
         self._verdicts[key] = entry
         return entry
 
@@ -670,11 +672,15 @@ class Cpu:
         """Drop every cached dispatch verdict and the cached NEVE state.
 
         The verdict keys are deliberately NEVE-blind (the enable bit is
-        runtime state, not context), so every transition that can change
-        ``VNCR_EL2.Enable`` must invalidate: the host enabling/disabling
-        the runner, page relocation, and the recovery layer's
-        degrade/re-promote transitions.  Harmless (and cheap) on a CPU
-        running the reference ladder.
+        runtime state, not context), so the cache holds only while the
+        hardware ``VNCR_EL2.Enable`` bit holds still.  The one caller is
+        :meth:`_fast_sysreg_access`, on every EL2 write of ``VNCR_EL2``,
+        and that is enough: the bit reaches the hardware bank only
+        through :meth:`sysreg_access` (``sim-sysreg-bypass`` flags direct
+        bank writes, and :meth:`compile_switch` rejects a ``VNCR_EL2``
+        write).  ``NeveRunner`` enable, disable and relocate, and the
+        recovery layer's degrade, all write it that way; a re-promotion
+        leaves the bit clear until the next enable.
         """
         self._verdicts.clear()
         self._neve_verdict_state = None

@@ -12,9 +12,10 @@ re-implementation: a probe CPU subclass intercepts the four access
 mechanisms (hardware register file, deferred-access page, sysreg trap,
 GIC CPU interface) and runs the genuine ``_access_at_*`` ladder code
 with the context flags pinned.  The captured action therefore equals
-the slow path's decision *by construction*; the ``san-fastpath-parity``
-check additionally proves the executed effects are byte-identical on
-full scenarios.
+the slow path's decision *by construction*; the parity tests
+(``tests/arch/test_dispatch.py`` over the access matrix,
+``tests/analysis/test_fastpath_parity.py`` over every configuration's
+exports) additionally prove the executed effects are byte-identical.
 
 Tables are owned per machine — no module-level mutable state, so the
 statecheck shardability gate stays clean — and filled lazily: each

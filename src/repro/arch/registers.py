@@ -77,55 +77,9 @@ class SysReg:
     #: the same registry rows that carry ``el1_counterpart``.
     e2h_redirect: str = None
 
-    @property
-    def is_vm_register(self):
-        """True for the paper's Table 3 set (plus the space-constrained
-        EL1-context extension): no immediate effect on hypervisor
-        execution."""
-        return self.reg_class in (
-            RegClass.VM_TRAP_CONTROL,
-            RegClass.VM_EXECUTION_CONTROL,
-            RegClass.THREAD_ID,
-            RegClass.EL1_CONTEXT,
-        )
-
-    @property
-    def is_hyp_control(self):
-        """True for the paper's Table 4/5 hypervisor-control sets."""
-        return self.reg_class in (
-            RegClass.HYP_REDIRECT,
-            RegClass.HYP_REDIRECT_VHE,
-            RegClass.HYP_TRAP_ON_WRITE,
-            RegClass.HYP_REDIRECT_OR_TRAP,
-            RegClass.GIC_HYP,
-        )
-
 
 #: One deferred-access-page slot per register NEVE stores in memory.
 VNCR_SLOT_BYTES = 8
-
-
-@dataclass(frozen=True)
-class DispatchRow:
-    """Precomputed static dispatch facts for one register.
-
-    Built once, when the registry freezes: everything here is a pure
-    function of the (immutable) registry rows, so the trap-dispatch fast
-    path (:mod:`repro.arch.dispatch`) can read one row instead of
-    re-deriving classification facts per access.  ``undef_without_vhe``
-    and ``undef_on_write`` are the two *pre-charge* UNDEF conditions —
-    they must raise before the access is charged, unlike ladder-level
-    UNDEFs, so the fast path needs them split out.  ``vhe_alias_defer``
-    resolves the VHE-guest-hypervisor alias rule up front: the EL2
-    counterpart a VNCR-backed EL1 encoding defers through at virtual EL2
-    with E2H set (None when the alias stays on the hardware register).
-    """
-
-    reg: "SysReg"
-    undef_without_vhe: bool
-    undef_on_write: bool
-    vhe_alias_defer: "SysReg" = None
-    gic_sgi_trap: bool = False
 
 
 class RegistryFrozenError(RuntimeError):
@@ -150,9 +104,6 @@ class RegistryBuilder:
         self.registry = {}
         self._next_offset = 0
         self._frozen = False
-        #: name -> :class:`DispatchRow`, built by :meth:`freeze` — empty
-        #: (and unusable by the fast path) until the layout is sealed.
-        self.dispatch_rows = {}
 
     @property
     def frozen(self):
@@ -245,42 +196,10 @@ class RegistryBuilder:
         return offsets
 
     def freeze(self):
-        """Validate, seal the builder, build the per-register dispatch
-        rows, and return the registry dict.
-
-        The dispatch rows are the *static* half of the trap-dispatch
-        fast path: once the layout is sealed nothing a row depends on
-        can change, so they are computed exactly once here rather than
-        re-derived per access by the classification ladder.
-        """
+        """Validate, seal the builder and return the registry dict."""
         self.validate()
         self._frozen = True
-        self.dispatch_rows = self._build_dispatch_rows()
         return self.registry
-
-    def _build_dispatch_rows(self):
-        rows = {}
-        for reg in self.registry.values():
-            vhe_alias_defer = None
-            if reg.e2h_redirect is not None:
-                counterpart = self.registry.get(reg.e2h_redirect)
-                if (counterpart is not None
-                        and counterpart.vncr_offset is not None
-                        and counterpart.reg_class
-                        is not RegClass.HYP_REDIRECT_OR_TRAP):
-                    # Under VHE the "redirect or trap" rows behave as
-                    # redirects (Table 4), so their aliases stay on the
-                    # hardware register; everything VNCR-backed defers
-                    # through the alias encoding too.
-                    vhe_alias_defer = counterpart
-            rows[reg.name] = DispatchRow(
-                reg=reg,
-                undef_without_vhe=reg.vhe_only,
-                undef_on_write=reg.read_only,
-                vhe_alias_defer=vhe_alias_defer,
-                gic_sgi_trap=(reg.reg_class is RegClass.GIC_CPU
-                              and reg.neve is NeveBehavior.TRAP))
-        return rows
 
 
 _BUILDER = RegistryBuilder()
@@ -530,15 +449,6 @@ def lookup_register(name):
         raise KeyError("unknown system register: %s" % name)
 
 
-def dispatch_row(name):
-    """Return the precomputed :class:`DispatchRow` for *name* (built
-    when the module registry froze); raise KeyError if unknown."""
-    try:
-        return _BUILDER.dispatch_rows[name]
-    except KeyError:
-        raise KeyError("unknown system register: %s" % name)
-
-
 def iter_registers(reg_class=None, neve=None):
     """Iterate registered :class:`SysReg` objects, optionally filtered."""
     for reg in _REGISTRY.values():
@@ -617,15 +527,10 @@ class RegisterFile:
         get = self._values.get
         return [get(name, 0) for name in names]
 
-    def write_many(self, names, values):
-        """Bulk :meth:`write`: *values* into *names*, in order (a later
-        write to the same register wins, as it would one at a time)."""
-        self._values.update(zip(names, [value & 0xFFFFFFFFFFFFFFFF
-                                        for value in values]))
-
     def put_many(self, names, values):
-        """:meth:`write_many` of values already 64 bits wide (read from
-        a RegisterFile, or masked once when a switch was compiled)."""
+        """Bulk store: *values* into *names*, in order.  The values are
+        already 64 bits wide (read from a RegisterFile, or masked once
+        when a switch was compiled)."""
         self._values.update(zip(names, values))
 
     def copy_from(self, other, names, own_names=None):

@@ -42,17 +42,12 @@ class NeveRunner:
         """Program VNCR_EL2 with Enable set (host runs at EL2)."""
         self.vncr = self.vncr.with_enable(True)
         self.cpu.msr("VNCR_EL2", self.vncr.value)
-        # Flipping Enable changes every virtual-EL2 verdict; the msr
-        # above already invalidates on the fast path, this keeps the
-        # contract explicit for callers that bank the register directly.
-        self.cpu.invalidate_verdict_cache()
 
     def disable(self):
         """Clear Enable "while running the nested VM so the VM can access
         its EL1 registers" (Section 6.1)."""
         self.vncr = self.vncr.with_enable(False)
         self.cpu.msr("VNCR_EL2", self.vncr.value)
-        self.cpu.invalidate_verdict_cache()
 
     @property
     def enabled(self):
@@ -110,7 +105,6 @@ class NeveRunner:
         self.page = DeferredAccessPage(self.memory, new_baddr)
         self.vncr = VncrEl2.make(new_baddr, enable=self.vncr.enabled)
         self.cpu.msr("VNCR_EL2", self.vncr.value)
-        self.cpu.invalidate_verdict_cache()
         return old_baddr
 
 

@@ -46,6 +46,11 @@ def main(argv=None):
                              "DIR (injected faults appear as annotated "
                              "events; digests are unaffected)")
     args = parser.parse_args(argv)
+    if args.seeds < 1:
+        parser.error("--seeds wants at least 1 campaign, not %d"
+                     % args.seeds)
+    if args.cpus < 1:
+        parser.error("--cpus wants at least 1 vCPU, not %d" % args.cpus)
 
     results = []
     for index in range(args.seeds):

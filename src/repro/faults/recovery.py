@@ -518,10 +518,6 @@ class RecoveryManager:
                     else:
                         self.vcpu.vel1_shadow.poke(reg.name, value)
                 runner.disable()
-            # The dispatch fast path must not keep serving NEVE-era
-            # verdicts (defer/cached-copy) once every vEL2 access traps
-            # again: drop the verdict cache with the runner.
-            cpu.invalidate_verdict_cache()
             self.vcpu.neve = None
             if all(v.neve is None for v in self.vcpu.vm.vcpus):
                 self.vcpu.vm.nested = "nv"
@@ -599,9 +595,6 @@ class RecoveryManager:
                 for name, value in values.items():
                     runner.write_deferred(name, value)
             self.monitor.retrack(runner.page.baddr)
-            # Mirror of degrade(): trap-era verdicts cached while
-            # degraded are stale the moment NEVE re-arms.
-            cpu.invalidate_verdict_cache()
             self.degraded = False
             self.vcpu.vm.nested = "neve"
             self.repromotions += 1

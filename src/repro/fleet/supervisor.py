@@ -156,11 +156,6 @@ class FleetResult:
         return self._count("quarantined")
 
     @property
-    def quarantined_states(self):
-        return [state for state in self.states
-                if state.verdict == "quarantined"]
-
-    @property
     def accounting_ok(self):
         return (all(state.verdict is not None for state in self.states)
                 and self.completed + self.retried + self.quarantined

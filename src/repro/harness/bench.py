@@ -24,32 +24,19 @@ File schema (``repro-bench/1``)::
      "metrics": <registry JSON snapshot document>}
 
 Everything is virtual-cycle timestamped; two runs of the same tree
-produce byte-identical files (modulo the sequence number — and the
-optional ``host`` section below, which records nondeterministic host
-wall-clock time and therefore never participates in the
-trajectory/golden byte-diffs).  ``diff_payloads`` compares ``results``
-within tolerance; when the ``results`` equal the last trajectory entry,
-its ``metrics`` must be equal too, or the run fails naming the first
-differing family (``--force`` records the point instead).
-
-``--compare-fastpath`` runs the sweep twice — dispatch fast path
-disabled (the reference) and enabled — demands the ``results`` and
-``metrics`` sections are byte-identical (the fast path is a pure
-speedup; ``san-fastpath-parity`` enforces the same at lint time), and
-attaches a ``host`` section (``repro-bench-host/1``) to the written
-payload with both runs' wall seconds and cycles-per-host-second plus
-the speedup ratio::
-
-    {"schema": "repro-bench-host/1",
-     "reference_wall_s": .., "fastpath_wall_s": ..,
-     "reference_cycles_per_host_s": .., "fastpath_cycles_per_host_s": ..,
-     "speedup": ..}
+produce byte-identical files (modulo the sequence number).
+``diff_payloads`` compares ``results`` within tolerance; when the
+``results`` equal the last trajectory entry, its ``metrics`` must be
+equal too, or the run fails naming the first differing family
+(``--force`` records the point instead).  Host time is measured by
+``perfbench``, not here: the ``host`` section ``BENCH_4.json`` carries
+is a record of an earlier host timer that no code writes any more, and
+no diff reads it.
 """
 
 import json
 import re
 import sys
-import time
 from pathlib import Path
 
 from repro.harness.configs import ALL_CONFIGS, make_microbench
@@ -78,31 +65,20 @@ def tolerance_for(config, benchmark, metric):
 
 
 def run_bench(iterations=DEFAULT_ITERATIONS, configs=None,
-              arm_costs=None, x86_costs=None, fastpath=None,
-              host_meter=None):
+              arm_costs=None, x86_costs=None):
     """Measure every config x benchmark cell under one shared registry.
 
     Returns the payload dict (without a sequence number — the caller
     assigns it when writing the trajectory file).
-
-    *fastpath* forces the dispatch fast path on (True) or off (False)
-    for every ARM machine in the sweep (None = machine default).
-    *host_meter*, when given, is a dict the run fills with host-side
-    measurements — ``wall_ns`` (sweep wall time) and ``cycles`` (total
-    simulated cycles across all machines); host time is
-    nondeterministic and never lands in the deterministic payload
-    sections.
     """
     names = list(configs) if configs is not None else sorted(ALL_CONFIGS)
     registry = MetricsRegistry()
     machines = []
     results = {}
-    started_ns = time.perf_counter_ns()  # lint: allow(sim-nondeterminism)
     for name in names:
         costs = (arm_costs if ALL_CONFIGS[name].platform == "arm"
                  else x86_costs)
-        suite = make_microbench(name, costs=costs, registry=registry,
-                                fastpath=fastpath)
+        suite = make_microbench(name, costs=costs, registry=registry)
         machines.append(suite.machine)
         cells = {}
         for benchmark in MICROBENCHMARKS:
@@ -110,11 +86,6 @@ def run_bench(iterations=DEFAULT_ITERATIONS, configs=None,
             cells[benchmark] = {"cycles": measured.cycles,
                                 "traps": measured.traps}
         results[name] = cells
-    if host_meter is not None:
-        host_meter["wall_ns"] = (
-            time.perf_counter_ns() - started_ns)  # lint: allow(sim-nondeterminism)
-        host_meter["cycles"] = sum(machine.ledger.total
-                                   for machine in machines)
     # The registry's virtual clock: total simulated cycles across every
     # machine the run touched (read-only — exporting charges nothing).
     registry.clock = lambda: sum(machine.ledger.total
@@ -229,22 +200,6 @@ def write_payload(payload, directory, sequence):
     return path
 
 
-def host_section(ref_meter, fast_meter):
-    """The ``repro-bench-host/1`` section from two sweep host meters
-    (reference = fast path off, fastpath = on).  Wall seconds are host
-    time — nondeterministic by nature, excluded from all byte-diffs."""
-    ref_s = ref_meter["wall_ns"] / 1e9
-    fast_s = fast_meter["wall_ns"] / 1e9
-    return {
-        "schema": "repro-bench-host/1",
-        "reference_wall_s": round(ref_s, 4),
-        "fastpath_wall_s": round(fast_s, 4),
-        "reference_cycles_per_host_s": round(ref_meter["cycles"] / ref_s, 1),
-        "fastpath_cycles_per_host_s": round(fast_meter["cycles"] / fast_s, 1),
-        "speedup": round(ref_s / fast_s, 3),
-    }
-
-
 def main(argv=None, arm_costs=None, x86_costs=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     iterations = DEFAULT_ITERATIONS
@@ -252,7 +207,6 @@ def main(argv=None, arm_costs=None, x86_costs=None):
     configs = []
     write = True
     force = False
-    compare_fastpath = False
     while argv:
         arg = argv.pop(0)
         if arg == "--iterations" and argv:
@@ -270,12 +224,10 @@ def main(argv=None, arm_costs=None, x86_costs=None):
             write = False
         elif arg == "--force":
             force = True
-        elif arg == "--compare-fastpath":
-            compare_fastpath = True
         elif arg in ("-h", "--help"):
             print("usage: python -m repro bench [--iterations N] "
                   "[--dir PATH] [--config NAME ...] [--no-write] "
-                  "[--force] [--compare-fastpath]")
+                  "[--force]")
             return 0
         else:
             print("bench: unknown argument %r" % arg, file=sys.stderr)
@@ -290,38 +242,9 @@ def main(argv=None, arm_costs=None, x86_costs=None):
               % str(directory), file=sys.stderr)
         return 2
 
-    host = None
-    if compare_fastpath:
-        # Reference sweep first (fast path off); the recorded payload
-        # below is the fast-path run.
-        ref_meter = {}
-        reference = run_bench(iterations=iterations,
-                              configs=configs or None,
-                              arm_costs=arm_costs, x86_costs=x86_costs,
-                              fastpath=False, host_meter=ref_meter)
-    fast_meter = {}
     payload = run_bench(iterations=iterations,
                         configs=configs or None,
-                        arm_costs=arm_costs, x86_costs=x86_costs,
-                        fastpath=True if compare_fastpath else None,
-                        host_meter=fast_meter)
-    if compare_fastpath:
-        if reference["results"] != payload["results"] \
-                or reference["metrics"] != payload["metrics"]:
-            print("bench: FASTPATH PARITY FAILURE — the fast path "
-                  "changed emergent counts; run `python -m repro lint` "
-                  "(san-fastpath-parity) to localize", file=sys.stderr)
-            return 1
-        host = host_section(ref_meter, fast_meter)
-        payload["host"] = host
-        print("bench: fastpath compare — reference %.3fs "
-              "(%.0f cycles/host-s), fastpath %.3fs (%.0f cycles/host-s), "
-              "speedup %.2fx; results byte-identical"
-              % (host["reference_wall_s"],
-                 host["reference_cycles_per_host_s"],
-                 host["fastpath_wall_s"],
-                 host["fastpath_cycles_per_host_s"],
-                 host["speedup"]))
+                        arm_costs=arm_costs, x86_costs=x86_costs)
     problems = validate_payload(payload)
     if problems:
         for problem in problems:

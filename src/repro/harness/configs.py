@@ -79,23 +79,20 @@ def arm_arch_for(config):
     return ArchConfig(version=ArchVersion.V8_3, gic=GicVersion.V3)
 
 
-def make_microbench(name, costs=None, registry=None, fastpath=None):
+def make_microbench(name, costs=None, registry=None):
     """Build a ready-to-run microbenchmark suite for a configuration.
 
     ``costs`` overrides the platform's calibrated :class:`CostModel`
     (the bench pipeline's regression tests perturb it).  ``registry``,
     when given, attaches a :class:`MachineMetrics` facade (config label =
     *name*) to the machine *before* it boots, so the registry mirrors
-    reconcile exactly with the legacy counters.  ``fastpath`` is passed
-    through to :class:`Machine` (None = machine default; the x86 model
-    has no dispatch ladder to precompile, so it is ignored there).
+    reconcile exactly with the legacy counters.
     """
     config = ALL_CONFIGS[name]
     if config.platform == "arm":
-        machine = (Machine(arch=arm_arch_for(config), fastpath=fastpath)
+        machine = (Machine(arch=arm_arch_for(config))
                    if costs is None
-                   else Machine(arch=arm_arch_for(config), costs=costs,
-                                fastpath=fastpath))
+                   else Machine(arch=arm_arch_for(config), costs=costs))
         if registry is not None:
             MachineMetrics(registry, config=name).attach_machine(machine)
         return ArmMicrobench(machine=machine,

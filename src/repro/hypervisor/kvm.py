@@ -15,8 +15,6 @@ forwards, and finally records which world the CPU resumes into
 (:meth:`KvmHypervisor.resume_context`).
 """
 
-import os
-
 from repro.arch.cpu import Cpu
 from repro.arch.dispatch import DispatchTable
 from repro.arch.exceptions import ExceptionClass, ExceptionLevel
@@ -95,16 +93,13 @@ class Machine:
     """CPUs + memory + GIC + the L0 hypervisor, with shared accounting."""
 
     def __init__(self, arch=None, num_cpus=2, costs=ARM_COSTS,
-                 l0_gic_mmio=True, fastpath=None):
+                 l0_gic_mmio=True, fastpath=True):
         self.arch = arch if arch is not None else ArchConfig(
             version=ArchVersion.V8_3, gic=GicVersion.V3)
         self.costs = costs
-        # Trap-dispatch fast path: on by default, opt out per machine
-        # with fastpath=False or globally with REPRO_NO_FASTPATH=1.
-        if fastpath is None:
-            fastpath = not os.environ.get("REPRO_NO_FASTPATH")
-        self.fastpath = bool(fastpath)
-        self.dispatch = DispatchTable(self.arch) if self.fastpath else None
+        # Trap-dispatch fast path: on by default; fastpath=False runs
+        # the classification ladder (the parity tests' reference).
+        self.dispatch = DispatchTable(self.arch) if fastpath else None
         self.ledger = CycleLedger()
         self.traps = TrapCounter()
         self.recoveries = RecoveryCounter()
@@ -236,9 +231,6 @@ class KvmHypervisor:
                                % vcpu.vcpu_id)
         vcpu.neve = NeveRunner(vcpu.cpu, self.machine.memory,
                                self.alloc_vncr_page())
-        # Re-arming changes which verdicts the dispatch fast path may
-        # serve at virtual EL2; drop anything cached while degraded.
-        vcpu.cpu.invalidate_verdict_cache()
         return vcpu.neve
 
     def run_vcpu(self, vcpu):

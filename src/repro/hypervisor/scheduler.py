@@ -55,11 +55,6 @@ class VcpuScheduler:
             raise ValueError("vcpu already enqueued")
         self.runqueue.append(vcpu)
 
-    def dequeue(self, vcpu):
-        self.runqueue.remove(vcpu)
-        if self.current is vcpu:
-            self.current = None
-
     # ------------------------------------------------------------------
     # Switching
     # ------------------------------------------------------------------

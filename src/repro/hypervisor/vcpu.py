@@ -130,15 +130,6 @@ class VcpuState:
     def in_virtual_el2(self):
         return self.mode is VcpuMode.VEL2
 
-    @property
-    def neve_armed(self):
-        """Whether the vcpu currently runs with a deferred access page.
-
-        Flips to False on fault-recovery degradation and back to True
-        when the recovery layer re-promotes the vcpu after its
-        cooling-off window (see repro.faults.recovery)."""
-        return self.neve is not None
-
     def __repr__(self):
         return ("VcpuState(id=%d, mode=%s, vel2=%r)"
                 % (self.vcpu_id, self.mode.value, self.has_virtual_el2))

@@ -138,10 +138,6 @@ class PageTable:
         return Mapping(block.output_page + offset, block.perm,
                        block.is_device)
 
-    def lookup_block(self, in_addr):
-        """The raw block entry covering *in_addr*, if any."""
-        return self._block_entries.get(block_align(in_addr))
-
     @property
     def block_count(self):
         return len(self._block_entries)

@@ -8,7 +8,7 @@ arbitrary chain of tables so tests can check that collapsing (shadow
 tables) is equivalent to the full chain.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.memory.pagetable import PageTable, Permission
 
@@ -52,14 +52,3 @@ def translate(address, tables, perm=Permission.R):
         out = table.translate(out, perm)
     return out
 
-
-@dataclass
-class WalkStats:
-    """Counts table walks, for the TLB-behaviour tests."""
-
-    walks: int = 0
-    by_stage: dict = field(default_factory=dict)
-
-    def record(self, stage):
-        self.walks += 1
-        self.by_stage[stage] = self.by_stage.get(stage, 0) + 1

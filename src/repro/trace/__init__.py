@@ -14,8 +14,8 @@ Layout:
 
 ``spans``
     Stdlib-only core: :class:`Span`, :class:`Tracer` (bounded ring
-    buffer, near-zero-cost disabled path), and the ``cpu_span`` /
-    ``cpu_instant`` helpers the hot layers call.
+    buffer, near-zero-cost disabled path), and the ``cpu_span``
+    helper the hot layers call.
 ``export``
     Chrome ``trace_event`` JSON (Perfetto / ``chrome://tracing``),
     text breakdown-tree renderer, per-``ExitReason`` latency
@@ -29,6 +29,5 @@ from repro.trace.spans import (  # noqa: F401
     Span,
     TraceReconciliation,
     Tracer,
-    cpu_instant,
     cpu_span,
 )

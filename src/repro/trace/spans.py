@@ -437,10 +437,3 @@ def cpu_span(cpu, name, kind="phase", **detail):
     return Phase(cpu, tracer,
                  None if metrics is None else metrics.phase(name),
                  name, kind, detail or None)
-
-
-def cpu_instant(cpu, name, kind="event", **detail):
-    """Record a point event on *cpu*'s tracer, if any."""
-    tracer = getattr(cpu, "tracer", None)
-    if tracer is not None:
-        tracer.instant(name, kind=kind, cpu=cpu, detail=detail or None)

@@ -111,10 +111,6 @@ class X86Cpu:
         self.ledger.charge(self.costs.vmentry_hw, "vmentry_hw")
         self.in_root = False
 
-    def run_guest_exit(self, reason, payload=None):
-        """Convenience for drivers: perform one exiting guest operation."""
-        return self.vm_exit(reason, payload)
-
     # -- guest-visible operations -------------------------------------------
 
     def vmcall(self, nr=0):

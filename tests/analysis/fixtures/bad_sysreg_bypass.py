@@ -16,9 +16,6 @@ def clobber_hyp_state(vcpu):
 
 
 def clobber_banks_in_bulk(cpu, ctx):
-    # VIOLATION sim-sysreg-bypass: several EL1 registers in one call.
-    cpu.el1_regs.write_many(("SCTLR_EL1", "TCR_EL1"), (0, 0))
-
     # VIOLATION sim-sysreg-bypass: the unchecked bulk store.
     cpu.el2_regs.put_many(("HCR_EL2",), (0,))
 
@@ -41,5 +38,4 @@ def allowed_paths(cpu, regfile):
     cpu.msr("SCTLR_EL1", 0)
     value = cpu.mrs("SCTLR_EL1")
     regfile.write("SCTLR_EL1", value)
-    regfile.write_many(("SCTLR_EL1",), (value,))
     cpu.el2_regs.write("HCR_EL2", 0)  # lint: allow(sim-sysreg-bypass)

@@ -8,6 +8,9 @@ from repro.__main__ import main as repro_main
 from repro.analysis.cli import main as lint_main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+#: Flags that leave only the AST lint running, for single-fixture tests.
+SINGLE_PASS = ["--no-sanitize", "--no-spec", "--no-metrics", "--no-docs",
+               "--no-fleet", "--no-statecheck"]
 
 
 def test_clean_tree_exits_zero(capsys):
@@ -21,23 +24,20 @@ def test_clean_tree_exits_zero(capsys):
                                      "bad_nondeterminism.py",
                                      "bad_ledger.py"])
 def test_each_seeded_fixture_fails(fixture, capsys):
-    status = lint_main(["--no-sanitize", "--no-spec",
-                        str(FIXTURES / fixture)])
+    status = lint_main(SINGLE_PASS + [str(FIXTURES / fixture)])
     assert status == 1
     out = capsys.readouterr().out
     assert fixture in out
 
 
 def test_clean_fixture_passes(capsys):
-    status = lint_main(["--no-sanitize", "--no-spec",
-                        str(FIXTURES / "clean_module.py")])
+    status = lint_main(SINGLE_PASS + [str(FIXTURES / "clean_module.py")])
     assert status == 0
     assert "lint: 0" in capsys.readouterr().out
 
 
 def test_findings_are_printed_with_location(capsys):
-    lint_main(["--no-sanitize", "--no-spec",
-               str(FIXTURES / "bad_ledger.py")])
+    lint_main(SINGLE_PASS + [str(FIXTURES / "bad_ledger.py")])
     out = capsys.readouterr().out
     assert "bad_ledger.py:" in out
     assert "sim-ledger-bypass" in out

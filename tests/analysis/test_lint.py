@@ -196,7 +196,7 @@ def test_findings_carry_location():
 
 def test_bad_sysreg_fixture_is_caught():
     findings = lint_file(FIXTURES / "bad_sysreg_bypass.py")
-    assert rules_of(findings) == ["sim-sysreg-bypass"] * 7
+    assert rules_of(findings) == ["sim-sysreg-bypass"] * 6
 
 
 def test_bad_nondeterminism_fixture_is_caught():

@@ -24,14 +24,10 @@ from repro.arch.cpu import (
 from repro.arch.dispatch import CONTEXTS, DispatchTable
 from repro.arch.exceptions import ExceptionLevel, UndefinedInstruction
 from repro.arch.features import ARMV8_3, ARMV8_4
-from repro.arch.registers import (
-    RegClass,
-    RegisterFile,
-    dispatch_row,
-    iter_registers,
-)
+from repro.arch.registers import RegClass, RegisterFile, iter_registers
 from repro.core.vncr import VncrEl2
 from repro.memory.phys import PhysicalMemory
+from tests.conftest import seed_wrong_verdict
 
 VNCR_BADDR = 0x7000_0000
 
@@ -88,12 +84,9 @@ def _encodings_for(reg):
     return (Encoding.NORMAL,)
 
 
-@pytest.mark.parametrize("arch", [ARMV8_3, ARMV8_4],
-                         ids=["v8.3", "v8.4-neve"])
-@pytest.mark.parametrize("ctx", CONTEXTS,
-                         ids=["el2", "el2+e2h", "vel2", "vel2+vhe",
-                              "guest"])
-def test_fastpath_matches_ladder(arch, ctx):
+def _assert_matrix_parity(arch, ctx):
+    """Drive a ladder CPU and a table CPU through the access matrix
+    twice; every outcome and ledger movement must match."""
     neve = arch.has_neve
     table = DispatchTable(arch)
     slow = _make_cpu(arch, neve, dispatch=None)
@@ -123,15 +116,19 @@ def test_fastpath_matches_ladder(arch, ctx):
     assert table.resolutions > 0
 
 
-def test_dispatch_rows_cover_every_register():
-    for reg in iter_registers():
-        row = dispatch_row(reg.name)
-        assert row.reg is reg
+@pytest.mark.parametrize("arch", [ARMV8_3, ARMV8_4],
+                         ids=["v8.3", "v8.4-neve"])
+@pytest.mark.parametrize("ctx", CONTEXTS,
+                         ids=["el2", "el2+e2h", "vel2", "vel2+vhe",
+                              "guest"])
+def test_fastpath_matches_ladder(arch, ctx):
+    _assert_matrix_parity(arch, ctx)
 
 
-def test_dispatch_row_unknown_register():
-    with pytest.raises(KeyError):
-        dispatch_row("NOT_A_REGISTER")
+def test_matrix_parity_catches_a_wrong_table_action(monkeypatch):
+    seed_wrong_verdict(monkeypatch)
+    with pytest.raises(AssertionError, match="SCTLR_EL1 read"):
+        _assert_matrix_parity(ARMV8_4, CTX_VEL2)
 
 
 def test_verdict_cache_invalidation_clears_state():

@@ -120,7 +120,7 @@ def test_status_bit_tests_match_decoded_list_registers(gic_cpu):
     for uie in (False, True):
         cpu.el2_regs.write("ICH_HCR_EL2", 0x2 if uie else 0)
         for bank in banks:
-            cpu.el2_regs.write_many([lr_name(i) for i in range(4)], bank)
+            cpu.el2_regs.put_many([lr_name(i) for i in range(4)], bank)
             gic.sync_status(cpu)
             got = (cpu.el2_regs.read("ICH_ELRSR_EL2"),
                    cpu.el2_regs.read("ICH_EISR_EL2"),

@@ -72,3 +72,21 @@ def enable_neve(cpu, baddr=0x7000_0000):
     from repro.core.vncr import VncrEl2
     cpu.el2_regs.write("VNCR_EL2", VncrEl2.make(baddr).value)
     return baddr
+
+
+def seed_wrong_verdict(monkeypatch):
+    """Seeded violation for the fast-path parity tests: every
+    DispatchTable resolves a non-VHE guest hypervisor's SCTLR_EL1 read
+    under NEVE to a trap, where the ladder defers it to the page."""
+    from repro.arch.cpu import CTX_VEL2, OP_TRAP
+    from repro.arch.dispatch import DispatchTable
+
+    derive = DispatchTable._derive
+
+    def wrong(table, ctx, neve, reg, enc, is_write):
+        if (ctx == CTX_VEL2 and neve and reg.name == "SCTLR_EL1"
+                and not is_write):
+            return (OP_TRAP,)
+        return derive(table, ctx, neve, reg, enc, is_write)
+
+    monkeypatch.setattr(DispatchTable, "_derive", wrong)

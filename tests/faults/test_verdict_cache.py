@@ -2,14 +2,17 @@
 
 The dispatch fast path caches per-access verdicts NEVE-blind at
 virtual EL2 (the cache key deliberately omits ``VNCR_EL2.Enable`` so a
-steady-state guest hypervisor never re-reads it).  That makes explicit
-invalidation on the degradation lifecycle load-bearing: a degrade must
-drop cached defer/cached-copy verdicts (every vEL2 access traps
-again), and a re-promotion must drop the cached trap verdicts.  The
-test drives the full 16 -> 126 -> 16 lifecycle with caching enabled
-and demands trap counts identical to an uncached reference machine.
+steady-state guest hypervisor never re-reads it).  One rule keeps the
+cache valid: an EL2 write of ``VNCR_EL2`` empties it.  A degrade
+clears the enable bit with such a write, a re-promotion leaves the bit
+clear, and the next virtual-EL2 entry sets it with another.  The tests
+drive the full 16 -> 126 -> 16 lifecycle with caching enabled and
+demand trap counts identical to an uncached reference machine.
 """
 
+import pytest
+
+from repro.arch.cpu import Cpu
 from repro.faults.plan import FaultPlan
 from repro.faults.points import FaultInjector
 from repro.faults.recovery import MachineIntegrityMonitor, RecoveryManager
@@ -18,9 +21,9 @@ from repro.hypervisor.kvm import Machine
 from repro.metrics.cycles import ARM_COSTS
 
 
-def _lifecycle_trap_counts(fastpath):
-    """Traps of one L2 hypercall in each lifecycle state, plus the
-    final ledger, on a machine with the fast path forced on or off."""
+def _booted(fastpath):
+    """A booted neve-nested machine, its vcpu and a recovery manager
+    with no planned faults, with the fast path forced on or off."""
     config = ALL_CONFIGS["neve-nested"]
     machine = Machine(arch=arm_arch_for(config), costs=ARM_COSTS,
                       fastpath=fastpath)
@@ -31,6 +34,13 @@ def _lifecycle_trap_counts(fastpath):
         vcpu.vcpu_id, vcpu.neve.page.baddr)
     recovery = RecoveryManager(machine, vcpu, monitor,
                                FaultInjector(FaultPlan(0, [])))
+    return machine, vcpu, recovery
+
+
+def _lifecycle_trap_counts(fastpath):
+    """Traps of one L2 hypercall in each lifecycle state, plus the
+    final ledger, on a machine with the fast path forced on or off."""
+    machine, vcpu, recovery = _booted(fastpath)
 
     def probe():
         before = machine.traps.total
@@ -47,7 +57,7 @@ def _lifecycle_trap_counts(fastpath):
     return stages, machine
 
 
-def test_degradation_lifecycle_trap_parity():
+def _assert_lifecycle_parity():
     cached_stages, cached_machine = _lifecycle_trap_counts(fastpath=True)
     reference_stages, reference_machine = _lifecycle_trap_counts(
         fastpath=False)
@@ -60,6 +70,21 @@ def test_degradation_lifecycle_trap_parity():
     assert cached_machine.dispatch.resolutions > 0
 
 
+def test_degradation_lifecycle_trap_parity():
+    _assert_lifecycle_parity()
+
+
+def test_lifecycle_parity_catches_a_missing_invalidation(monkeypatch):
+    """Seeded violation: the cache is never emptied, as if the
+    ``VNCR_EL2`` write in ``Cpu._fast_sysreg_access`` (the method's
+    only caller) no longer invalidated.  The stale NEVE verdicts after
+    the degrade send the guest hypervisor's run hypercall back to it
+    without end, so the parity check fails by recursing."""
+    monkeypatch.setattr(Cpu, "invalidate_verdict_cache", lambda self: None)
+    with pytest.raises((AssertionError, RecursionError)):
+        _assert_lifecycle_parity()
+
+
 def test_lifecycle_hits_the_paper_exit_counts():
     """The emergent 16 / 126 / 16 sequence (Table 7 exit multiplication
     vs the NEVE count) must survive verdict caching."""
@@ -67,22 +92,34 @@ def test_lifecycle_hits_the_paper_exit_counts():
     assert stages == [16, 126, 16]
 
 
-def test_degrade_and_repromote_invalidate_cache():
-    config = ALL_CONFIGS["neve-nested"]
-    machine = Machine(arch=arm_arch_for(config), costs=ARM_COSTS,
-                      fastpath=True)
-    vm = machine.kvm.create_vm(num_vcpus=1, nested="neve")
-    vcpu = vm.vcpus[0]
-    machine.kvm.boot_nested(vcpu)
-    monitor = MachineIntegrityMonitor(machine.memory).install().track(
-        vcpu.vcpu_id, vcpu.neve.page.baddr)
-    recovery = RecoveryManager(machine, vcpu, monitor,
-                               FaultInjector(FaultPlan(0, [])))
-    vcpu.cpu.hvc(0)
-    recovery.degrade(vcpu.cpu, "test: forced degrade")
-    assert not vcpu.cpu._verdicts  # degrade dropped the cache
-    vcpu.cpu.hvc(0)  # repopulate with trap-era verdicts
-    assert vcpu.cpu._verdicts
+def test_vncr_write_at_el2_is_the_invalidation_point():
+    """An EL2 write of ``VNCR_EL2`` empties the cache, and every
+    lifecycle step that moves the hardware enable bit makes one, so a
+    cached NEVE state always matches the hardware's."""
+    machine, vcpu, recovery = _booted(fastpath=True)
+    cpu = vcpu.cpu
+
+    def assert_cache_matches_hardware():
+        assert cpu._neve_verdict_state in (None, cpu.neve_enabled)
+
+    cpu.hvc(0)
+    cpu.mrs("SCTLR_EL1")  # the L2 guest's own register: one cached verdict
+    assert cpu._verdicts
+    with cpu.host_mode():
+        cpu.msr("VNCR_EL2", vcpu.neve.vncr.value)
+    assert not cpu._verdicts
+    assert cpu._neve_verdict_state is None
+
+    cpu.hvc(0)
+    assert_cache_matches_hardware()
+    recovery.degrade(cpu, "test: forced degrade")
+    assert not cpu._verdicts  # the runner's disable wrote VNCR_EL2
+    cpu.hvc(0)  # repopulate with trap-era verdicts
+    assert cpu._verdicts
+    assert_cache_matches_hardware()
     machine.ledger.charge(recovery.cooling_off_required(), "idle")
-    assert recovery.maybe_repromote(vcpu.cpu)
-    assert not vcpu.cpu._verdicts  # re-promotion dropped them again
+    assert recovery.maybe_repromote(cpu)
+    assert not cpu.neve_enabled  # re-arming writes no VNCR_EL2 ...
+    assert_cache_matches_hardware()  # ... so the trap-era verdicts hold
+    cpu.hvc(0)  # the re-entry enables NEVE with a VNCR_EL2 write
+    assert_cache_matches_hardware()

@@ -571,7 +571,7 @@ def sequence_state(sequence, vhe):
     names = ws.full_el1_context() + ("CNTV_CTL_EL0", "CNTV_CVAL_EL0")
     for number, name in enumerate(names, 1):
         ctx.poke(name, number)
-    cpu.el1_regs.write_many(names, [0x100 + n for n in range(len(names))])
+    cpu.el1_regs.put_many(names, [0x100 + n for n in range(len(names))])
     run_sequence(sequence, ws.make_ops(cpu, vhe), ctx)
     return {
         "ledger": list(cpu.ledger.by_category.items()),

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.metrics.cycles import CycleLedger
-from repro.trace.spans import NULL_SPAN, Tracer, cpu_instant, cpu_span
+from repro.trace.spans import NULL_SPAN, Tracer, cpu_span
 
 
 class FakeCpu:
@@ -97,7 +97,6 @@ def test_double_attach_rejected():
 def test_disabled_path_returns_shared_null_context():
     cpu = FakeCpu()
     assert cpu_span(cpu, "anything") is NULL_SPAN
-    cpu_instant(cpu, "nothing")  # must not raise
 
 
 def test_cpu_span_records_on_attached_tracer():
