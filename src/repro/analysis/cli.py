@@ -3,11 +3,10 @@
 Default run (no arguments) executes every pass against the live tree:
 the spec-conformance checker, the AST lint over the ``repro`` package
 sources, the sanitized exit-multiplication smoke scenario, the
-telemetry-registry checks (``san-metrics-reconcile``,
-``san-metrics-ledger``), the fleet merge-determinism check
-(``san-fleet-merge``), and the doc lint (``doc-link``,
-``doc-subcommand``) over ``README.md`` and ``docs/``.  Any finding
-fails the run (exit status 1), which is what CI keys on.
+telemetry-registry check (``san-metrics-reconcile``), the fleet
+merge-determinism check (``san-fleet-merge``), and the doc lint
+(``doc-link``, ``doc-subcommand``) over ``README.md`` and ``docs/``.
+Any finding fails the run (exit status 1), which is what CI keys on.
 
 The default run also includes the shared-state passes: the static
 shardability gate (``statecheck``, diffed against the committed
@@ -21,7 +20,7 @@ Usage::
     python -m repro lint                  # full clean-tree check
     python -m repro lint path/to/file.py  # lint specific files/dirs
     python -m repro lint --no-sanitize    # skip the runtime scenario
-    python -m repro lint --no-metrics     # skip the registry checks
+    python -m repro lint --no-metrics     # skip the registry check
     python -m repro lint --no-docs        # skip the doc lint
     python -m repro lint --no-fleet       # skip the san-fleet-merge check
     python -m repro lint --no-statecheck  # skip the shared-state passes
@@ -58,8 +57,8 @@ def build_parser():
                         help="skip the sanitized exit-multiplication "
                              "scenario")
     parser.add_argument("--no-metrics", action="store_true",
-                        help="skip the telemetry-registry checks "
-                             "(san-metrics-reconcile, san-metrics-ledger)")
+                        help="skip the telemetry-registry check "
+                             "(san-metrics-reconcile)")
     parser.add_argument("--no-docs", action="store_true",
                         help="skip the doc lint (markdown link and "
                              "subcommand checks over README.md and docs/)")

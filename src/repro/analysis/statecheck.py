@@ -810,12 +810,10 @@ def run_shared_state_check(report=None, mode="neve", hypercalls=2,
         objects = check_shardability().objects
 
     before = snapshot_shared_state(objects)
-    machine_a, metrics_a = _metrics_scenario(mode, hypercalls,
-                                             attach_metrics=True)
+    machine_a, metrics_a = _metrics_scenario(mode, hypercalls)
     export_a = metrics_a.registry.json_snapshot()
     after_first = snapshot_shared_state(objects)
-    machine_b, metrics_b = _metrics_scenario(mode, hypercalls,
-                                             attach_metrics=True)
+    machine_b, metrics_b = _metrics_scenario(mode, hypercalls)
     export_b = metrics_b.registry.json_snapshot()
     after_second = snapshot_shared_state(objects)
 

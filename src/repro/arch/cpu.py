@@ -56,6 +56,7 @@ from repro.arch.registers import (
 )
 from repro.metrics.counters import ExitReason, TrapCounter
 from repro.metrics.cycles import ARM_COSTS, CycleLedger
+from repro.trace.spans import Region
 
 
 class Encoding(enum.Enum):
@@ -275,23 +276,15 @@ class Cpu:
         # every deferred-page access is checked against the machine-wide
         # quarantine: a CPU must not observe another vCPU's
         # half-repaired VNCR page while its recovery is in flight.
-        # Observe-only, same contract as the tracer.
+        # It never charges the ledger.
         self.recovery_guard = None
 
-        # Optional span tracer (repro.trace.spans.Tracer).  When
-        # attached, every trap opens a span whose children are the traps
-        # the host hypervisor's emulation causes in turn, so one nested
-        # exit renders as a causal tree (the exit-multiplication factor
-        # of Section 5 / Table 7).  The tracer only observes — it never
-        # charges the ledger — so the disabled path is a single
-        # attribute check.
-        self.tracer = None
-
-        # Optional telemetry facade (repro.metrics.instrument
-        # .MachineMetrics).  Same contract as the tracer: observe-only,
-        # never charges the ledger, disabled path is one attribute check
-        # (enforced by san-metrics-ledger).
-        self.metrics = None
+        # Observers (repro.trace.spans.Observer: the tracer, the metrics
+        # facade): a Machine replaces this list with its own, shared by
+        # its cpus and fault injectors.  Every trap, phase and deferred
+        # access is reported to each; they only read, so an empty list
+        # (one truth test per site) is the whole disabled path.
+        self.observers = []
 
         # Precompiled dispatch table (repro.arch.dispatch.DispatchTable),
         # shared by every CPU of a machine.  When armed, sysreg_access
@@ -697,7 +690,7 @@ class Cpu:
         points return before counting unless the CPU is at virtual EL2,
         the sanitizer checks only virtual-EL2 accesses and EL2
         ``*_EL12``/``*_EL02`` aliases (which never compile), and the
-        tracer and metrics only read the ledger's totals.
+        observers only read the ledger's totals.
         """
         return self.current_el == ExceptionLevel.EL2
 
@@ -706,16 +699,14 @@ class Cpu:
         Checked once per switch.
 
         Only where a compiled phase may (:meth:`block_eligible`), and
-        only while nothing observes the CPU between the switch's phases:
-
-        * a tracer opens one span per phase;
-        * a metrics facade observes one phase histogram per phase;
-        * a fault injector counts ``ws.after-save``, ``ws.before-restore``
-          and ``ws.vgic-lr`` hits (``FaultInjector.at_point`` and
-          ``filter_lr_save``) without checking the exception level.
+        only while nothing sees the switch's phases: no observer (each
+        takes one region per phase), and no fault injector, which counts
+        ``ws.after-save``, ``ws.before-restore`` and ``ws.vgic-lr`` hits
+        (``FaultInjector.at_point`` and ``filter_lr_save``) without
+        checking the exception level.
         """
-        return (self.tracer is None and self.metrics is None
-                and self.fault_hook is None and self.block_eligible())
+        return (not self.observers and self.fault_hook is None
+                and self.block_eligible())
 
     def compiled_switch(self, program, vhe, structs, phase=None):
         """This CPU's compiled switch for *program* run with *structs*
@@ -1090,15 +1081,8 @@ class Cpu:
         if reg.vncr_offset is None:
             raise RuntimeError("%s has no deferred-access slot" % reg.name)
         addr = self.vncr_baddr + reg.vncr_offset
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.instant("defer:%s" % reg.name, kind="vncr", cpu=self,
-                           detail={"register": reg.name,
-                                   "is_write": is_write,
-                                   "offset": reg.vncr_offset})
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.count_deferred(reg.name, is_write)
+        for observer in self.observers:
+            observer.deferred(self, reg, is_write)
         guard = self.recovery_guard
         if guard is not None:
             guard.on_deferred_access(self, addr)
@@ -1147,20 +1131,17 @@ class Cpu:
                 "recursive trap while handling a trap at EL2: %s"
                 % syndrome.describe())
         self.traps.record(reason)
-        # One trap span per TrapCounter.record: traps the handler causes
-        # while emulating this one nest through the call stack, so the
-        # span tree's trap count is the exit-multiplication factor.
-        tracer = self.tracer
-        span = (tracer.begin_trap(self, syndrome, reason)
-                if tracer is not None else None)
-        # The histogram covers the whole round trip (entry + emulation +
-        # return), labelled with the exception level the trap
-        # interrupted — captured now, before the handler switches worlds.
-        metrics = self.metrics
-        trap_timer = (metrics.trap_span(self, reason)
-                      if metrics is not None else None)
-        if trap_timer is not None:
-            trap_timer.__enter__()
+        # One trap region per TrapCounter.record, covering the whole
+        # round trip (entry + emulation + return) and opened before the
+        # handler switches worlds: traps the handler causes while
+        # emulating this one nest inside it, so the span tree's trap
+        # count is the exit-multiplication factor.
+        region = None
+        if self.observers:
+            region = Region()
+            for observer in self.observers:
+                region.append((observer,
+                               observer.begin_trap(self, syndrome, reason)))
         try:
             self.ledger.charge(self.costs.trap_entry, "trap")
             if self.trap_handler is None:
@@ -1185,10 +1166,8 @@ class Cpu:
             self.ledger.charge(self.costs.trap_return, "trap")
             return result
         finally:
-            if trap_timer is not None:
-                trap_timer.__exit__(None, None, None)
-            if span is not None:
-                tracer.end(span)
+            if region is not None:
+                region.close()
 
     def deliver_interrupt(self):
         """A physical interrupt arrives while a guest runs: exit to EL2."""

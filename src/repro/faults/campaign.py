@@ -149,8 +149,9 @@ def run_campaign(seed, trace=False, cpus=1, interleave="roundrobin",
     :class:`~repro.metrics.instrument.MachineMetrics` facade to the
     machine before any work happens — the fleet layer uses this to give
     every simulated machine its own ``config`` label in a shared
-    registry.  Telemetry is observe-only (``san-metrics-ledger``), so
-    the digest is unchanged.
+    registry.  Observers only read (the observer gate in
+    ``tests/trace/test_observers.py`` checks it), so the digest is
+    unchanged.
     """
     if cpus < 1:
         raise ValueError("cpus must be >= 1")
@@ -170,6 +171,7 @@ def run_campaign(seed, trace=False, cpus=1, interleave="roundrobin",
     for vcpu in vm.vcpus:
         injector = FaultInjector(plans[vcpu.vcpu_id])
         injector.clock = clock
+        injector.observers = machine.observers
         window = monitor.track(vcpu.vcpu_id, vcpu.neve.page.baddr)
         RecoveryManager(machine, vcpu, window, injector,
                         coordinator=coordinator)
@@ -184,8 +186,6 @@ def run_campaign(seed, trace=False, cpus=1, interleave="roundrobin",
         from repro.trace.spans import Tracer
         tracer = Tracer()
         tracer.attach_machine(machine)
-        for injector in injectors:
-            tracer.attach_to(injector)
         root = tracer.begin("campaign/seed-%d" % seed, kind="root")
 
     try:

@@ -63,10 +63,11 @@ class FaultInjector:
         # and a callback that performs the simulated migration.
         self.corrupt_word = None
         self.on_migration = None
-        # Optional tracer (repro.trace): fired faults become annotated
-        # instant events, so recovery ladders in the causal tree show
-        # which injected fault they answer.
-        self.tracer = None
+        # Observers (repro.trace.spans.Observer): a campaign shares its
+        # machine's list here, so a tracer records every fired fault as
+        # an annotated instant and recovery ladders in the causal tree
+        # show which injected fault they answer.
+        self.observers = []
         # Optional virtual-time source (the campaign points it at the
         # machine's cycle ledger).  When set, every fired fault is
         # stamped with the cycle it fired at — the re-promotion path's
@@ -87,14 +88,13 @@ class FaultInjector:
                            at_cycle=(self.clock() if self.clock is not None
                                      else None))
         self.events.append(event)
-        tracer = self.tracer
-        if tracer is not None:
+        if self.observers:
+            name = "fault:%s@%s" % (fault.fault_class.value, fault.point)
             annotated = {"point": fault.point, "seq": event.seq,
                          "fault_class": fault.fault_class}
             annotated.update(detail)
-            tracer.instant("fault:%s@%s"
-                           % (fault.fault_class.value, fault.point),
-                           kind="fault", detail=annotated)
+            for observer in self.observers:
+                observer.fault(name, annotated)
         return event
 
     def pending(self):

@@ -388,15 +388,15 @@ class RecoveryManager:
 
     def _charge(self, cycles):
         self.machine.ledger.charge(cycles, "recovery")
-        metrics = getattr(self.machine, "metrics", None)
-        if metrics is not None:
-            metrics.observe_recovery_cycles(cycles)
+        cpu = self.vcpu.cpu
+        for observer in cpu.observers:
+            observer.recovery(cpu, None, cycles)
 
     def _count(self, event):
         self.machine.recoveries.record(event)
-        metrics = getattr(self.machine, "metrics", None)
-        if metrics is not None:
-            metrics.count_cpu_recovery(self.vcpu.cpu.cpu_id, event)
+        cpu = self.vcpu.cpu
+        for observer in cpu.observers:
+            observer.recovery(cpu, event, None)
 
     def _exclusive(self, action):
         """The machine-wide recovery lock, when coordinated."""
@@ -527,9 +527,8 @@ class RecoveryManager:
             self.degraded_at = self.machine.ledger.total
             self._charge(self.costs.degrade)
             self._count(RecoveryEvent.NEVE_DEGRADE)
-            metrics = getattr(self.machine, "metrics", None)
-            if metrics is not None:
-                metrics.set_neve_state(cpu.cpu_id, 0)
+            for observer in cpu.observers:
+                observer.neve_state(cpu, 0, None)
 
     # -- re-promotion ------------------------------------------------------
 
@@ -602,10 +601,8 @@ class RecoveryManager:
             runner.fault_hook = self.vcpu.cpu.fault_hook
             self._charge(self.costs.repromote)
             self._count(RecoveryEvent.NEVE_REPROMOTE)
-            metrics = getattr(self.machine, "metrics", None)
-            if metrics is not None:
-                metrics.set_neve_state(cpu.cpu_id, 1)
-                metrics.observe_degradation_dwell(dwell)
+            for observer in cpu.observers:
+                observer.neve_state(cpu, 1, dwell)
 
     # -- end-of-run settlement ---------------------------------------------
 

@@ -98,20 +98,14 @@ class FleetMerge:
 def merge_payloads(payloads):
     """Fold completed shard payloads into a :class:`FleetMerge`.
 
-    *payloads* is an iterable of ``(shard_id, records, metrics_document)``
-    or ``(shard_id, records, metrics_document, traces)`` tuples in any
-    order — the fold sorts, so two merges over the same completed set
-    are byte-identical no matter how the shards were scheduled.  Trace
-    payloads merge only when every completed shard carried them (a
-    partially traced fleet is a configuration bug, surfaced as None).
+    *payloads* is an iterable of ``(shard_id, records, metrics_document,
+    traces)`` tuples in any order — the fold sorts, so two merges over
+    the same completed set are byte-identical no matter how the shards
+    were scheduled.  Trace payloads merge only when every completed
+    shard carried them (a partially traced fleet is a configuration
+    bug, surfaced as None).
     """
-    normalized = []
-    for item in payloads:
-        shard_traces = item[3] if len(item) > 3 else None
-        shard_id, records, metrics_document = item[:3]
-        normalized.append((shard_id, records, metrics_document,
-                           shard_traces))
-    normalized.sort(key=lambda item: item[0])
+    normalized = sorted(payloads, key=lambda item: item[0])
     records = sorted((record for _, shard_records, _, _ in normalized
                       for record in shard_records),
                      key=lambda record: record["machine"])

@@ -103,10 +103,10 @@ class Machine:
         self.ledger = CycleLedger()
         self.traps = TrapCounter()
         self.recoveries = RecoveryCounter()
-        # Optional telemetry facade (repro.metrics.instrument
-        # .MachineMetrics.attach_machine sets it).  Observe-only: sites
-        # gate on ``is None`` so the disabled path costs nothing.
-        self.metrics = None
+        # The machine's observers (repro.trace.spans.Observer), one list
+        # shared by every cpu below and by the fault injectors armed on
+        # them; attach with the observer's attach_machine.
+        self.observers = []
 
         self.memory = PhysicalMemory()
         self.memory.add_region(MemoryRegion("ram", RAM_BASE, RAM_SIZE))
@@ -125,6 +125,7 @@ class Machine:
             cpu = Cpu(arch=self.arch, costs=costs, ledger=self.ledger,
                       traps=self.traps, memory=self.memory, cpu_id=cpu_id,
                       dispatch=self.dispatch)
+            cpu.observers = self.observers
             self.gic.attach_cpu(cpu)
             self.cpus.append(cpu)
 
@@ -248,10 +249,8 @@ class KvmHypervisor:
     def _note_depth(self, cpu, vcpu):
         """Telemetry: the nesting depth this cpu is now executing at
         (1 = a VM or its guest hypervisor, 2 = the nested VM)."""
-        metrics = self.machine.metrics
-        if metrics is not None:
-            metrics.set_depth(cpu.cpu_id,
-                              2 if vcpu.mode is VcpuMode.NESTED else 1)
+        for observer in cpu.observers:
+            observer.nesting(cpu, 2 if vcpu.mode is VcpuMode.NESTED else 1)
 
     def boot_nested(self, vcpu):
         """Boot the nested VM: the guest hypervisor launches its guest

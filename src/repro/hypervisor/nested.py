@@ -114,9 +114,8 @@ class GuestHypervisor:
         result), or None.
         """
         self.exits_handled += 1
-        metrics = getattr(cpu, "metrics", None)
-        if metrics is not None:
-            metrics.count_vel2_exit(reason)
+        for observer in cpu.observers:
+            observer.vel2_exit(cpu, reason)
         with cpu_span(cpu, "l1.handle_vm_exit", kind="l1", reason=reason,
                       vcpu=vcpu.vcpu_id, design=self.design):
             ops = ws.make_ops(cpu, self.vhe)

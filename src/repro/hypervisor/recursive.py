@@ -199,10 +199,9 @@ class RecursiveHost:
     # ------------------------------------------------------------------
 
     def handle_trap(self, cpu, syndrome):
-        metrics = getattr(cpu, "metrics", None)
-        if metrics is not None:
-            metrics.count_boundary_trap(
-                "l1_emulation" if self._forwarding else "l2hyp")
+        for observer in cpu.observers:
+            observer.boundary_trap(
+                cpu, "l1_emulation" if self._forwarding else "l2hyp")
         if self._forwarding:
             # A trap taken by the L1 emulation path itself: L0 emulates
             # it against L1's virtual EL2 state (cheaply modelled).

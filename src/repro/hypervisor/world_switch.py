@@ -331,9 +331,8 @@ def deactivate_traps(ops, vhe, host_hcr=HCR_HOST_FLAGS):
 
 def _note_lrs(cpu, used_lrs):
     """Telemetry: list registers in flight at this save/restore."""
-    metrics = getattr(cpu, "metrics", None)
-    if metrics is not None:
-        metrics.set_used_lrs(cpu.cpu_id, used_lrs)
+    for observer in cpu.observers:
+        observer.list_registers(cpu, used_lrs)
 
 
 def vgic_save(ops, ctx, used_lrs):

@@ -47,7 +47,12 @@ def main(argv=None):
         elif arg == "--workload" and argv:
             workload = argv.pop(0)
         elif arg == "--iterations" and argv:
-            iterations = int(argv.pop(0))
+            value = argv.pop(0)
+            if not value.isdigit() or int(value) < 1:
+                print("metrics: --iterations wants a positive integer, "
+                      "not %r" % value, file=sys.stderr)
+                return 2
+            iterations = int(value)
         elif arg == "--format" and argv:
             fmt = argv.pop(0)
         elif arg == "--out" and argv:

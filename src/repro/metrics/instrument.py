@@ -9,21 +9,20 @@
   registers those dicts with the families, and every registry read
   folds in what moved since attach (``san-metrics-reconcile`` checks
   it).  A charge or a trap calls nothing.
-* **Push sites** for what the counters do not keep (phase and trap
-  histograms, the deferred-access counter, gauges), reached through a
-  ``cpu.metrics`` / ``machine.metrics`` attribute that defaults to
-  ``None``.  Every site gates on a plain ``is None`` check, like the
-  tracer's ``cpu.tracer``, so the disabled path adds zero cycles.
+* **Observer events** for what the counters do not keep (phase and trap
+  histograms, the deferred-access counter, gauges): the facade is one
+  :class:`~repro.trace.spans.Observer` on the machine's ``observers``
+  list, beside the tracer, so an empty list is the disabled path.
 
-Everything here only *reads* the ledger; nothing ever charges it —
-enforced by ``san-metrics-ledger``.
+Everything here only *reads* the ledger; nothing ever charges it (the
+observer gate in ``tests/trace/test_observers.py`` checks it).
 """
 
 from repro.metrics.registry import MetricsRegistry
-from repro.trace.spans import Phase
+from repro.trace.spans import Observer
 
 
-class MachineMetrics:
+class MachineMetrics(Observer):
     """The registry-backed telemetry facade for one machine/config.
 
     Several instances may share one :class:`MetricsRegistry` (the bench
@@ -91,7 +90,7 @@ class MachineMetrics:
             "repro_boundary_traps_total",
             "Traps crossing a recursive-stack boundary, by disposition",
             ("config", "boundary"))
-        self.neve_state = reg.gauge(
+        self.neve_armed = reg.gauge(
             "repro_neve_state",
             "Whether NEVE is armed per cpu (1 = deferred access page "
             "live, 0 = degraded to trap-and-emulate)",
@@ -117,77 +116,73 @@ class MachineMetrics:
             pairs.append((self.recoveries, recoveries.by_event))
         return pairs
 
-    def attach_cpu(self, cpu):
-        """Hook one cpu (and mirror its ledger and trap counter, which
-        a machine's cpus share: attaching twice counts once)."""
-        cpu.metrics = self
-        for family, source in self._sources(cpu):
-            family.mirror(source, self.config)
-        return self
-
-    def attach_machine(self, machine):
-        """Hook a whole machine: mirror its ledger and trap/recovery
-        counters from this point on, and set every cpu's ``metrics``.
+    def attach_machine(self, owner):
+        """Hook a machine (or a bare cpu): mirror its ledger and
+        trap/recovery counters from this point on, and join its
+        observers list.  Attaching twice counts and observes once.
         Attach before running a workload if you want the registry
         mirrors to equal the legacy counters."""
-        machine.metrics = self
-        for family, source in self._sources(machine):
+        for family, source in self._sources(owner):
             family.mirror(source, self.config)
-        for cpu in machine.cpus:
-            cpu.metrics = self
-        return self
+        return super().attach_machine(owner)
 
-    def detach_machine(self, machine):
+    def detach_machine(self, owner):
         """Undo :meth:`attach_machine`: the mirrors keep what moved
         until now (registry contents survive) and stop reading."""
-        machine.metrics = None
-        for family, source in self._sources(machine):
+        for family, source in self._sources(owner):
             family.unmirror(source)
-        for cpu in machine.cpus:
-            cpu.metrics = None
+        if self in owner.observers:
+            owner.observers.remove(self)
 
-    # -- hot-path hooks (all gated by ``x.metrics is None`` at the site) -
+    # -- observer events -------------------------------------------------
 
-    def phase(self, name):
-        """The ``repro_phase_cycles`` child a ``cpu_span`` named *name*
-        observes its ledger delta into."""
-        return self.phase_cycles.labels(self.config, name)
-
-    def trap_span(self, cpu, reason):
-        """Timer for one trap round trip; labels carry the exception
-        level the trap interrupted (``vel2`` for virtual EL2)."""
-        if getattr(cpu, "at_virtual_el2", False):
+    def begin_trap(self, cpu, syndrome, reason):
+        """Time one trap round trip; labels carry the exception level
+        the trap interrupted (``vel2`` for virtual EL2)."""
+        if cpu.at_virtual_el2:
             el = "vel2"
         else:
             el = str(getattr(cpu.current_el, "name", cpu.current_el)).lower()
-        return Phase(cpu, None, self.trap_cycles.labels(self.config, reason,
-                                                       el))
+        ledger = cpu.ledger
+        return (self.trap_cycles.labels(self.config, reason, el), ledger,
+                ledger.total)
 
-    def count_deferred(self, register, is_write):
-        self.vncr_deferred.labels(self.config, register,
+    def begin_phase(self, cpu, name, kind, detail):
+        """Time one phase into the ``repro_phase_cycles`` child named
+        *name*."""
+        ledger = cpu.ledger
+        return (self.phase_cycles.labels(self.config, name), ledger,
+                ledger.total)
+
+    def end(self, token):
+        child, ledger, mark = token
+        child.observe(ledger.total - mark)
+
+    def deferred(self, cpu, reg, is_write):
+        self.vncr_deferred.labels(self.config, reg.name,
                                   "write" if is_write else "read").inc()
 
-    def set_depth(self, cpu_id, depth):
-        self.nesting_depth.labels(self.config, str(cpu_id)).set(depth)
+    def nesting(self, cpu, depth):
+        self.nesting_depth.labels(self.config, str(cpu.cpu_id)).set(depth)
         self.depth_entries.labels(self.config, str(depth)).inc()
 
-    def set_used_lrs(self, cpu_id, used_lrs):
-        self.vgic_used_lrs.labels(self.config, str(cpu_id)).set(used_lrs)
+    def list_registers(self, cpu, used_lrs):
+        self.vgic_used_lrs.labels(self.config, str(cpu.cpu_id)).set(used_lrs)
 
-    def observe_recovery_cycles(self, cycles):
-        self.recovery_cycles.labels(self.config).observe(cycles)
-
-    def set_neve_state(self, cpu_id, armed):
-        self.neve_state.labels(self.config, str(cpu_id)).set(armed)
-
-    def count_cpu_recovery(self, cpu_id, event):
-        self.cpu_recoveries.labels(self.config, str(cpu_id), event).inc()
-
-    def observe_degradation_dwell(self, cycles):
-        self.degradation_dwell.labels(self.config).observe(cycles)
-
-    def count_vel2_exit(self, reason):
+    def vel2_exit(self, cpu, reason):
         self.vel2_exits.labels(self.config, reason).inc()
 
-    def count_boundary_trap(self, boundary):
+    def boundary_trap(self, cpu, boundary):
         self.boundary_traps.labels(self.config, boundary).inc()
+
+    def recovery(self, cpu, event, cycles):
+        if cycles is not None:
+            self.recovery_cycles.labels(self.config).observe(cycles)
+        if event is not None:
+            self.cpu_recoveries.labels(self.config, str(cpu.cpu_id),
+                                       event).inc()
+
+    def neve_state(self, cpu, armed, dwell):
+        self.neve_armed.labels(self.config, str(cpu.cpu_id)).set(armed)
+        if dwell is not None:
+            self.degradation_dwell.labels(self.config).observe(dwell)

@@ -22,9 +22,9 @@ export.  The registry gives them one home with machine-readable exports:
 
 * **Cost.**  The registry only ever *reads* the ledger (the clock, and
   counting dicts :meth:`Counter.mirror` folds in at read time); it
-  never charges it.  Sites gate on an ``is None`` check, so the
-  disabled path adds zero simulated cycles — enforced by
-  :func:`repro.analysis.sanitizer.check_metrics_ledger`.
+  never charges it.  The hot layers reach it through the machine's
+  observers list, so telemetry adds zero simulated cycles, enabled or
+  not (the observer gate in ``tests/trace/test_observers.py``).
 
 This module deliberately imports nothing from :mod:`repro` so the hot
 layers can use it without import cycles.

@@ -13,9 +13,10 @@ against the :class:`~repro.metrics.cycles.CycleLedger` total.
 Layout:
 
 ``spans``
-    Stdlib-only core: :class:`Span`, :class:`Tracer` (bounded ring
-    buffer, near-zero-cost disabled path), and the ``cpu_span``
-    helper the hot layers call.
+    Stdlib-only core: :class:`Span`, the :class:`Observer` event set a
+    machine's ``observers`` list carries, :class:`Tracer` (one observer:
+    a bounded ring buffer), and the ``cpu_span`` region helper the hot
+    layers call.
 ``export``
     Chrome ``trace_event`` JSON (Perfetto / ``chrome://tracing``),
     text breakdown-tree renderer, per-``ExitReason`` latency
@@ -26,6 +27,7 @@ Layout:
 """
 
 from repro.trace.spans import (  # noqa: F401
+    Observer,
     Span,
     TraceReconciliation,
     Tracer,

@@ -104,6 +104,12 @@ def main(argv=None):
     parser.add_argument("--max-depth", type=int, default=None,
                         help="limit breakdown tree depth")
     args = parser.parse_args(argv)
+    if args.iterations < 1:
+        parser.error("--iterations wants at least 1, not %d"
+                     % args.iterations)
+    if args.capacity < 1:
+        parser.error("--capacity wants at least 1 span, not %d"
+                     % args.capacity)
     configs = list(args.configs or DEFAULT_CONFIGS)
 
     os.makedirs(args.out, exist_ok=True)

@@ -15,11 +15,13 @@ Design constraints, in order:
   and it holds *by construction*, even when the bounded ring buffer
   evicts old spans (their cycles move to ``dropped_cycles``).
 
-* **Near-zero-cost disabled path.**  Instrumentation sites check a
-  plain attribute (``cpu.tracer is None``) and fall through;
-  :func:`cpu_span` returns a shared null context manager.  The tracer
-  itself never charges the ledger, so tracing adds **zero** cycles to
-  any benchmark, enabled or not.
+* **One observer list, near-zero-cost when empty.**  The tracer is one
+  :class:`Observer` among the machine's ``observers`` (the metrics
+  facade is another).  Every event site loops over that one list; an
+  empty list is the disabled path, one truth test per site, and
+  :func:`cpu_span` then returns a shared null context manager.  No
+  observer charges the ledger, so tracing adds **zero** cycles to any
+  benchmark, enabled or not.
 
 * **Determinism.**  Timestamps are virtual — the ledger total at the
   time of the event, relative to the attach point — and span ids are
@@ -161,12 +163,105 @@ class _NullContext:
 NULL_SPAN = _NullContext()
 
 
-class Tracer:
+class Observer:
+    """One entry of a machine's ``observers`` list, which the machine's
+    cpus and fault injectors share: the fixed event set its sites
+    report, each a no-op here.  An observer only reads; it never
+    charges the ledger or changes machine state.
+
+    Regions: :meth:`begin_trap` (one per ``TrapCounter.record``) and
+    :meth:`begin_phase` (one per :func:`cpu_span`) return a token, and
+    the region passes it back to :meth:`end` on the same observer.
+    """
+
+    def attach_machine(self, owner):
+        """Observe *owner*, a machine or a bare cpu: join its
+        ``observers`` list, once however often this is called."""
+        if self not in owner.observers:
+            owner.observers.append(self)
+        return self
+
+    def begin_trap(self, cpu, syndrome, reason):
+        """A trap to the host hypervisor begins on *cpu*."""
+        return None
+
+    def begin_phase(self, cpu, name, kind, detail):
+        """A named phase (world-switch step, handler, recovery action)
+        begins on *cpu*; *detail* is a dict or None."""
+        return None
+
+    def end(self, token):
+        """The region whose begin returned *token* ends."""
+
+    def deferred(self, cpu, reg, is_write):
+        """A virtual-EL2 access resolved against the deferred access
+        page (register *reg*) instead of trapping."""
+
+    def fault(self, name, detail):
+        """An injected fault fired."""
+
+    def nesting(self, cpu, depth):
+        """*cpu* now runs at nesting *depth* (1 a VM or its guest
+        hypervisor, 2 the nested VM)."""
+
+    def list_registers(self, cpu, used_lrs):
+        """A vGIC save or restore moves *used_lrs* list registers."""
+
+    def vel2_exit(self, cpu, reason):
+        """The guest hypervisor handles a VM exit at virtual EL2."""
+
+    def boundary_trap(self, cpu, boundary):
+        """A trap crosses a recursive-stack boundary."""
+
+    def recovery(self, cpu, event, cycles):
+        """The recovery ladder on *cpu* records *event* or charges
+        *cycles* (the other is None)."""
+
+    def neve_state(self, cpu, armed, dwell):
+        """NEVE is re-armed (*armed* 1, after *dwell* degraded cycles)
+        or degraded (*armed* 0, *dwell* None) on *cpu*."""
+
+
+class Region(list):
+    """One open region, a trap or a phase: each observer that saw its
+    begin, paired with the token that begin returned.  Ending it ends
+    exactly those, so an observer attached or detached while the region
+    is open sees all of it or none of it."""
+
+    __slots__ = ()
+
+    def __enter__(self):
+        return None
+
+    def close(self, *exc_info):
+        """End the region on each observer that saw its begin."""
+        for observer, token in self:
+            observer.end(token)
+
+    __exit__ = close  # returns None: an exception keeps propagating
+
+
+def cpu_span(cpu, name, kind="phase", **detail):
+    """Open a phase region named *name* on every observer of *cpu*; a
+    shared no-op context when nothing observes (the common case)."""
+    observers = cpu.observers
+    if not observers:
+        return NULL_SPAN
+    detail = detail or None
+    region = Region()
+    for observer in observers:
+        region.append((observer,
+                       observer.begin_phase(cpu, name, kind, detail)))
+    return region
+
+
+class Tracer(Observer):
     """Bounded-ring-buffer span recorder.  It reads the ledger total at
     span boundaries and is never called by the ledger.
 
-    Attach to a machine's ledger and cpus with :meth:`attach_machine`;
-    detach — closing any spans left open — with :meth:`stop`.
+    Attach to a machine's ledger and observers with
+    :meth:`attach_machine`; detach — closing any spans left open — with
+    :meth:`stop`.
     """
 
     def __init__(self, capacity=65536, instant_capacity=65536):
@@ -183,7 +278,7 @@ class Tracer:
         self.base = 0
         self._stack = []
         self._next_id = 0
-        self._attached = []  # objects whose .tracer we set
+        self._observers = None  # the observers list attach_machine joined
         self._unattributed = 0  # closed idle intervals (no span open)
         self._idle_since = 0  # start of the current one
         self._stop_cycle = None  # now() at detach: attribution ends
@@ -201,27 +296,19 @@ class Tracer:
 
     def detach(self):
         """Stop attributing: ledger movement from here on lands in no
-        span and is not unattributed either."""
+        span and is not unattributed either.  Leaves the observers list
+        :meth:`attach_machine` joined."""
         if self.ledger is not None and self._stop_cycle is None:
             self._stop_cycle = self.now()
-        for obj in self._attached:
-            if getattr(obj, "tracer", None) is self:
-                obj.tracer = None
-        self._attached = []
+        if self._observers is not None and self in self._observers:
+            self._observers.remove(self)
+        self._observers = None
 
-    def attach_machine(self, machine):
-        """Attach to *machine*'s shared ledger and install ``tracer``
-        on every cpu."""
-        self.attach(machine.ledger)
-        for cpu in machine.cpus:
-            self.attach_to(cpu)
-        return self
-
-    def attach_to(self, obj):
-        """Point *obj*.tracer at this tracer (restored by stop())."""
-        obj.tracer = self
-        self._attached.append(obj)
-        return self
+    def attach_machine(self, owner):
+        """Attach to *owner*'s ledger and join its observers list."""
+        self.attach(owner.ledger)
+        self._observers = owner.observers
+        return super().attach_machine(owner)
 
     def stop(self):
         """Close any open spans (innermost first) and detach."""
@@ -250,28 +337,27 @@ class Tracer:
 
     # -- span lifecycle ---------------------------------------------
 
-    def begin(self, name, kind="span", cpu=None, el=None, reason=None,
-              detail=None):
-        if self._stack:
-            parent_id = self._stack[-1].span_id
+    def begin(self, name, kind="span", cpu=None, reason=None, detail=None):
+        """Open a span; it nests under the innermost open span."""
+        span = self.begin_phase(cpu, name, kind, detail)
+        span.reason = _clean(reason)
+        return span
+
+    def begin_phase(self, cpu, name, kind, detail):
+        """Open a span for a phase region on *cpu* (None: no cpu); its
+        exception level is the cpu's now."""
+        stack = self._stack
+        if stack:
+            parent_id = stack[-1].span_id
         else:
             parent_id = None
             self._unattributed += self._observed() - self._idle_since
-        if el is None and cpu is not None:
-            el = getattr(cpu, "current_el", None)
-        span = Span(
-            span_id=self._next_id,
-            parent_id=parent_id,
-            name=name,
-            kind=kind,
-            el=_clean(el),
-            cpu_id=getattr(cpu, "cpu_id", None) if cpu is not None else None,
-            reason=_clean(reason),
-            detail=_clean_detail(detail),
-            start_cycle=self.now(),
-        )
+        span = Span(self._next_id, parent_id, name, kind,
+                    _clean(getattr(cpu, "current_el", None)),
+                    getattr(cpu, "cpu_id", None), None,
+                    _clean_detail(detail), self.now())
         self._next_id += 1
-        self._stack.append(span)
+        stack.append(span)
         return span
 
     def end(self, span):
@@ -302,10 +388,9 @@ class Tracer:
             self.dropped_cycles += evicted.self_cycles
 
     @contextmanager
-    def span(self, name, kind="span", cpu=None, el=None, reason=None,
-             detail=None):
-        opened = self.begin(name, kind=kind, cpu=cpu, el=el,
-                            reason=reason, detail=detail)
+    def span(self, name, kind="span", cpu=None, reason=None, detail=None):
+        opened = self.begin(name, kind=kind, cpu=cpu, reason=reason,
+                            detail=detail)
         try:
             yield opened
         finally:
@@ -334,6 +419,14 @@ class Tracer:
             name = "%s:%s" % (name, syndrome.register)
         return self.begin(name, kind="trap", cpu=cpu, reason=reason,
                           detail=detail)
+
+    def deferred(self, cpu, reg, is_write):
+        self.instant("defer:%s" % reg.name, kind="vncr", cpu=cpu,
+                     detail={"register": reg.name, "is_write": is_write,
+                             "offset": reg.vncr_offset})
+
+    def fault(self, name, detail):
+        self.instant(name, kind="fault", detail=detail)
 
     def instant(self, name, kind="event", cpu=None, detail=None):
         event = Instant(
@@ -386,54 +479,3 @@ class Tracer:
         if not recon.exact:
             raise AssertionError(recon.describe())
         return recon
-
-
-# -- instrumentation helpers (hot-path, disabled-path friendly) -----
-
-
-class Phase:
-    """One ``cpu_span`` region: a span on *tracer* and/or the region's
-    ledger delta observed into the histogram *child* (either may be
-    None).  Neither charges the ledger."""
-
-    __slots__ = ("cpu", "tracer", "child", "name", "kind", "detail",
-                 "span", "mark")
-
-    def __init__(self, cpu, tracer, child, name=None, kind="phase",
-                 detail=None):
-        self.cpu = cpu
-        self.tracer = tracer
-        self.child = child
-        self.name = name
-        self.kind = kind
-        self.detail = detail
-        self.span = None
-        self.mark = 0
-
-    def __enter__(self):
-        if self.tracer is not None:
-            self.span = self.tracer.begin(self.name, kind=self.kind,
-                                          cpu=self.cpu, detail=self.detail)
-        if self.child is not None:
-            self.mark = self.cpu.ledger.total
-        return self.span
-
-    def __exit__(self, exc_type, exc, tb):
-        if self.child is not None:
-            self.child.observe(self.cpu.ledger.total - self.mark)
-        if self.tracer is not None:
-            self.tracer.end(self.span)
-        return False
-
-
-def cpu_span(cpu, name, kind="phase", **detail):
-    """Context manager opening a span on *cpu*'s tracer and/or timing
-    the phase into *cpu*'s metrics facade; a shared no-op when both are
-    disabled (the common case)."""
-    tracer = getattr(cpu, "tracer", None)
-    metrics = getattr(cpu, "metrics", None)
-    if tracer is None and metrics is None:
-        return NULL_SPAN
-    return Phase(cpu, tracer,
-                 None if metrics is None else metrics.phase(name),
-                 name, kind, detail or None)

@@ -61,6 +61,7 @@ class X86Machine:
         self.costs = costs if costs is not None else X86_COSTS
         self.ledger = CycleLedger()
         self.traps = TrapCounter()
+        self.observers = []  # attach_machine joins it; no x86 site reports
         self.cpus = [X86Cpu(costs=self.costs, ledger=self.ledger,
                             traps=self.traps, cpu_id=i)
                      for i in range(num_cpus)]

@@ -52,8 +52,12 @@ def test_missing_path_is_a_clean_usage_error(capsys):
 
 
 def test_module_dispatch_to_lint(capsys):
-    assert repro_main(["lint", "--no-sanitize", "-q"]) == 0
+    assert repro_main(["lint", *SINGLE_PASS, "-q",
+                       str(FIXTURES / "clean_module.py")]) == 0
     assert capsys.readouterr().out == ""
+    assert repro_main(["lint", *SINGLE_PASS,
+                       str(FIXTURES / "bad_ledger.py")]) == 1
+    assert "bad_ledger.py" in capsys.readouterr().out
 
 
 def test_module_rejects_unknown_command(capsys):

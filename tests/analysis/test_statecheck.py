@@ -232,11 +232,11 @@ def test_shared_state_check_detects_a_seeded_mutation():
     original = sanitizer._metrics_scenario
     state = {"runs": 0}
 
-    def leaking(mode, hypercalls, attach_metrics):
+    def leaking(mode, hypercalls):
         state["runs"] += 1
         if state["runs"] == 2:
             appbench._COST_CACHE[("leak", 1)] = object()
-        return original(mode, hypercalls, attach_metrics)
+        return original(mode, hypercalls)
 
     sanitizer._metrics_scenario = leaking
     try:
@@ -251,10 +251,8 @@ def test_shared_state_check_detects_a_seeded_mutation():
 def test_metric_exports_identical_across_two_machines():
     from repro.analysis.sanitizer import _metrics_scenario
 
-    _machine_a, metrics_a = _metrics_scenario("neve", 2,
-                                              attach_metrics=True)
-    _machine_b, metrics_b = _metrics_scenario("neve", 2,
-                                              attach_metrics=True)
+    _machine_a, metrics_a = _metrics_scenario("neve", 2)
+    _machine_b, metrics_b = _metrics_scenario("neve", 2)
     assert metrics_a.registry.json_snapshot() \
         == metrics_b.registry.json_snapshot()
     assert metrics_a.registry.prometheus_text() \

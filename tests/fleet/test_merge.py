@@ -23,7 +23,7 @@ def payloads():
     out = []
     for shard in plan.shards:
         records, document, _ = run_shard(shard)
-        out.append((shard.shard_id, records, document))
+        out.append((shard.shard_id, records, document, None))
     return out
 
 
@@ -92,7 +92,7 @@ def test_merged_export_carries_per_machine_labels(payloads):
 
 
 def test_checksum_is_order_sensitive_and_content_sensitive(payloads):
-    _, records, document = payloads[0]
+    _, records, document, _ = payloads[0]
     good = payload_checksum(records, document)
     assert good == payload_checksum(records, document)
     tampered = [dict(records[0], digest="0" * 64)]

@@ -1,5 +1,7 @@
 """``python -m repro metrics`` and the table-driven top-level CLI."""
 
+import pytest
+
 from repro.__main__ import SUBCOMMANDS, main as repro_main, usage
 from repro.metrics import cli
 
@@ -64,3 +66,11 @@ class TestMetricsCli:
 
     def test_rejects_unknown_format(self, capsys):
         assert cli.main(["--format", "xml"]) == 2
+
+    @pytest.mark.parametrize("value", ["0", "-1", "x"])
+    def test_rejects_bad_iterations_before_any_run(self, value, capsys):
+        assert cli.main(["--config", "neve-nested",
+                         "--iterations", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--iterations wants a positive integer" in captured.err

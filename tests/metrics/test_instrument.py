@@ -4,8 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis.sanitizer import (check_metrics_ledger,
-                                      check_metrics_reconcile,
+from repro.analysis.sanitizer import (check_metrics_reconcile,
                                       run_metrics_checks)
 from repro.harness.configs import ALL_CONFIGS, make_microbench
 from repro.metrics.counters import (ExitReason, RecoveryCounter,
@@ -22,6 +21,13 @@ def _run_suite(name, registry=None, iterations=3):
     suite = make_microbench(name, registry=registry)
     suite.run("hypercall", iterations)
     return suite
+
+
+def _facade(machine):
+    """The MachineMetrics among *machine*'s observers."""
+    (metrics,) = [observer for observer in machine.observers
+                  if isinstance(observer, MachineMetrics)]
+    return metrics
 
 
 class TestMigrationParity:
@@ -60,7 +66,7 @@ class TestMigrationParity:
         registry = MetricsRegistry()
         suite = _run_suite("neve-nested", registry)
         report = check_metrics_reconcile(suite.machine,
-                                         suite.machine.metrics)
+                                         _facade(suite.machine))
         assert report.passed
         assert report.checks > 4
 
@@ -71,7 +77,7 @@ class TestMigrationParity:
         counter = RecoveryCounter()
         counter.record(RecoveryEvent.REPLAY)  # before attach: not ours
         machine = SimpleNamespace(ledger=CycleLedger(), traps=TrapCounter(),
-                                  recoveries=counter, cpus=[])
+                                  recoveries=counter, observers=[])
         metrics.attach_machine(machine)
         counter.record(RecoveryEvent.VNCR_RESYNC)
         counter.record(RecoveryEvent.VNCR_RESYNC)
@@ -101,7 +107,7 @@ class TestMigrationParity:
         machine = _run_suite("neve-nested", registry).machine
         assert machine.traps.count(ExitReason.ERET_TRAP) > 0
         before = registry.prometheus_text()
-        report = check_metrics_reconcile(machine, machine.metrics)
+        report = check_metrics_reconcile(machine, _facade(machine))
         assert not report.passed
         assert any("for eret" in violation.message
                    for violation in report.violations)
@@ -118,7 +124,7 @@ class TestMigrationParity:
                   for name in ("arm-nested", "neve-nested")]
         for suite in suites:
             machine = suite.machine
-            report = check_metrics_reconcile(machine, machine.metrics)
+            report = check_metrics_reconcile(machine, _facade(machine))
             assert report.passed, [violation.message
                                    for violation in report.violations]
         assert registry.get("repro_traps_total").total() \
@@ -137,7 +143,8 @@ class TestMigrationParity:
 
 
 class TestZeroCost:
-    """Telemetry must be free in simulated time."""
+    """Telemetry must be free in simulated time.  The observer gate
+    (tests/trace/test_observers.py) checks the same for every observer."""
 
     @pytest.mark.parametrize("name", ["arm-nested", "neve-nested"])
     def test_metrics_add_zero_cycles(self, name):
@@ -155,10 +162,6 @@ class TestZeroCost:
         registry.prometheus_text()
         registry.json_snapshot()
         assert suite.machine.ledger.total == mark
-
-    def test_sanitizer_ledger_check(self):
-        report = check_metrics_ledger(hypercalls=1)
-        assert report.passed
 
     def test_run_metrics_checks_clean(self):
         report = run_metrics_checks(hypercalls=1)
@@ -234,9 +237,10 @@ class TestHotLayerSignals:
         suite = _run_suite("neve-nested", registry)
         machine = suite.machine
         machine.ledger.charge(7, "late")  # never read before the detach
-        machine.metrics.detach_machine(machine)
-        assert machine.metrics is None
-        assert all(cpu.metrics is None for cpu in machine.cpus)
+        _facade(machine).detach_machine(machine)
+        assert machine.observers == []
+        assert all(cpu.observers is machine.observers
+                   for cpu in machine.cpus)
         cycles = registry.get("repro_cycles_total")
         traps = registry.get("repro_traps_total")
         # Detaching folded the last movement, then stopped reading.

@@ -57,7 +57,7 @@ def test_attaching_a_source_twice_counts_it_once():
     mark = machine.ledger.total
     cpu.hvc(0)
     # The cpus share the machine's ledger and trap counter.
-    metrics.attach_cpu(cpu)
+    metrics.attach_machine(cpu)
     metrics.attach_machine(machine)
     cpu.hvc(0)
     assert metrics.cycles.total() == machine.ledger.total - mark

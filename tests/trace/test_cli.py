@@ -6,6 +6,7 @@ import pytest
 
 from repro.trace.cli import main, trace_microbench
 from repro.trace.export import trap_stats, validate_chrome_trace
+from tests.analysis.test_cli import FIXTURES, SINGLE_PASS
 
 
 def test_cli_writes_valid_traces_and_exits_zero(tmp_path, capsys):
@@ -21,6 +22,20 @@ def test_cli_writes_valid_traces_and_exits_zero(tmp_path, capsys):
         counts = validate_chrome_trace(document)
         assert counts["events"] > 0
         assert document["otherData"]["reconciled"] is True
+
+
+@pytest.mark.parametrize("args", [["--capacity", "0"],
+                                  ["--iterations", "0"],
+                                  ["--iterations", "-2"]],
+                         ids=["capacity-0", "iterations-0", "iterations-2"])
+def test_cli_rejects_bad_counts_before_any_run(tmp_path, capsys, args):
+    out_dir = tmp_path / "traces"
+    with pytest.raises(SystemExit) as exit_info:
+        main(args + ["--out", str(out_dir)])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "wants at least 1" in captured.err
+    assert not out_dir.exists()
 
 
 def test_cli_respects_config_selection(tmp_path):
@@ -52,7 +67,10 @@ def test_main_dispatch_routes_all_subcommands(tmp_path, capsys):
                        "neve-nested", "--out",
                        str(tmp_path / "t")]) == 0
     assert repro_main(["faults", "--seeds", "1"]) == 0
-    assert repro_main(["lint", "--no-sanitize", "-q"]) == 0
+    assert repro_main(["lint", *SINGLE_PASS,
+                       str(FIXTURES / "clean_module.py")]) == 0
+    assert repro_main(["lint", *SINGLE_PASS,
+                       str(FIXTURES / "bad_ledger.py")]) == 1
     capsys.readouterr()
     assert repro_main(["no-such-subcommand"]) == 2
     err = capsys.readouterr().err

@@ -1,15 +1,33 @@
-"""Tracer core: attribution, nesting, eviction, the disabled path."""
+"""Tracer core: attribution, nesting, eviction, the disabled path, and
+regions over the observers list."""
 
 import pytest
 
 from repro.metrics.cycles import CycleLedger
-from repro.trace.spans import NULL_SPAN, Tracer, cpu_span
+from repro.trace.spans import NULL_SPAN, Observer, Tracer, cpu_span
 
 
 class FakeCpu:
-    tracer = None
     cpu_id = 0
     current_el = 2
+
+    def __init__(self):
+        self.ledger = CycleLedger()
+        self.observers = []
+
+
+class Recorder(Observer):
+    """Logs the region events it sees."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def begin_phase(self, cpu, name, kind, detail):
+        self.log.append(("begin", self, name))
+        return name
+
+    def end(self, token):
+        self.log.append(("end", self, token))
 
 
 def make_tracer(**kwargs):
@@ -74,15 +92,14 @@ def test_ending_a_closed_span_is_a_noop():
 
 
 def test_stop_closes_open_spans_and_detaches():
-    tracer, ledger = make_tracer()
     cpu = FakeCpu()
-    tracer.attach_to(cpu)
+    tracer = Tracer().attach_machine(cpu)
     tracer.begin("left-open")
-    ledger.charge(3, "x")
+    cpu.ledger.charge(3, "x")
     tracer.stop()
     assert not tracer.open_spans()
-    assert cpu.tracer is None
-    ledger.charge(5, "after")  # detached: attributed to nothing
+    assert cpu.observers == []
+    cpu.ledger.charge(5, "after")  # detached: attributed to nothing
     (span,) = tracer.spans()
     assert span.self_cycles == 3
     assert tracer.unattributed_cycles == 0
@@ -100,16 +117,34 @@ def test_disabled_path_returns_shared_null_context():
 
 
 def test_cpu_span_records_on_attached_tracer():
-    tracer, ledger = make_tracer()
     cpu = FakeCpu()
-    tracer.attach_to(cpu)
+    tracer = Tracer().attach_machine(cpu)
     with cpu_span(cpu, "phase", foo="bar"):
-        ledger.charge(4, "x")
+        cpu.ledger.charge(4, "x")
     (span,) = tracer.spans()
     assert span.name == "phase"
     assert span.detail == {"foo": "bar"}
     assert span.self_cycles == 4
     assert span.el == 2 and span.cpu_id == 0
+
+
+def test_region_ends_only_the_observers_that_saw_its_begin():
+    """An observer attached inside an open region never sees its end;
+    one detached inside it still does, with its own token.  Attaching
+    twice observes once."""
+    cpu = FakeCpu()
+    log = []
+    early, late = Recorder(log), Recorder(log)
+    early.attach_machine(cpu)
+    early.attach_machine(cpu)
+    with cpu_span(cpu, "outer"):
+        late.attach_machine(cpu)
+        with cpu_span(cpu, "inner"):
+            cpu.observers.remove(early)
+    assert log == [("begin", early, "outer"),
+                   ("begin", early, "inner"), ("begin", late, "inner"),
+                   ("end", early, "inner"), ("end", late, "inner"),
+                   ("end", early, "outer")]
 
 
 def test_tracer_never_charges_the_ledger():
