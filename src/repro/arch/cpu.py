@@ -758,9 +758,9 @@ class Cpu:
         compile to nothing: :meth:`switch_eligible` admits no fault hook,
         and a lone phase's runner crosses them itself.  Rejected too:
         the system-register vGIC, list-register steps on a CPU without a
-        GIC, and a category first charged by interrupt flushing alone but
-        charged unconditionally later (its position would depend on the
-        flush).
+        GIC, a second interrupt flush, and a category first charged by
+        interrupt flushing alone but charged unconditionally later (its
+        position would depend on the flush).
         """
         costs = self.costs
         has_vhe = self.arch.has_vhe
@@ -877,6 +877,8 @@ class Cpu:
             elif kind == SWITCH_FOLD_LRS:
                 ops.append((_FOLD, step[1], None, None, None))
             elif kind == SWITCH_FLUSH_LRS:
+                if any(op[0] == _FLUSH for op in ops):
+                    return None  # which flush charges first would decide
                 _kind, slot, instructions, category = step
                 i_work = charge(category, 0, flush_only=True)
                 i_struct = charge(categories[slot], 0, flush_only=True)

@@ -34,6 +34,36 @@ class RecordingHandler:
         return self.syndromes[-1] if self.syndromes else None
 
 
+#: The vcpu structs :func:`machine_state` reads from every vcpu.
+VCPU_STRUCTS = ("el1_ctx", "vel2_ctx", "shadow_ich", "vel1_shadow",
+                "l1_vgic")
+
+
+def regs(struct):
+    """A vcpu struct's registers in insertion order (None: no struct)."""
+    return None if struct is None else list(struct.regs.as_dict().items())
+
+
+def machine_state(machine, vcpus):
+    """Everything a machine's run leaves observable: the ledger's
+    categories in order, traps by reason, every register bank and vcpu
+    struct in insertion order, and the vcpus' list-register bookkeeping
+    (live count and queued interrupts)."""
+    return {
+        "ledger": list(machine.ledger.by_category.items()),
+        "traps": list(machine.traps.by_reason.items()),
+        "hardware": [(list(cpu.el1_regs.as_dict().items()),
+                      list(cpu.el2_regs.as_dict().items()))
+                     for cpu in machine.cpus],
+        "host_ctx": [regs(machine.kvm.host_ctx[cpu.cpu_id])
+                     for cpu in machine.cpus],
+        "vcpus": [[regs(getattr(vcpu, attr)) for attr in VCPU_STRUCTS]
+                  for vcpu in vcpus],
+        "lrs": [(vcpu.used_lrs, list(vcpu.pending_virqs))
+                for vcpu in vcpus],
+    }
+
+
 def make_cpu(arch=ARMV8_4, with_memory=True, handler=True):
     cpu = Cpu(arch=arch)
     if with_memory:

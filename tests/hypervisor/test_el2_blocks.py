@@ -43,11 +43,11 @@ from repro.metrics.registry import MetricsRegistry
 from repro.trace.export import chrome_trace_json
 from repro.trace.spans import Tracer
 
+from tests.conftest import machine_state, regs
+
 ARM_CONFIGS = sorted(name for name, config in ALL_CONFIGS.items()
                      if config.platform == "arm")
 ITERATIONS = 2
-VCPU_STRUCTS = ("el1_ctx", "vel2_ctx", "shadow_ich", "vel1_shadow",
-                "l1_vgic")
 
 
 def force_per_access(monkeypatch):
@@ -82,30 +82,6 @@ def count_compiled(monkeypatch):
 def count_compiled_switches(monkeypatch):
     """The whole compiled switches run from now on, in a list."""
     return count_compiled(monkeypatch)[0]
-
-
-def regs(struct):
-    return None if struct is None else list(struct.regs.as_dict().items())
-
-
-def machine_state(machine, vcpus):
-    """Everything a machine's run leaves observable: the ledger's
-    categories in order, traps by reason, every register bank and vcpu
-    struct in insertion order, and the vcpus' list-register bookkeeping
-    (live count and queued interrupts)."""
-    return {
-        "ledger": list(machine.ledger.by_category.items()),
-        "traps": list(machine.traps.by_reason.items()),
-        "hardware": [(list(cpu.el1_regs.as_dict().items()),
-                      list(cpu.el2_regs.as_dict().items()))
-                     for cpu in machine.cpus],
-        "host_ctx": [regs(machine.kvm.host_ctx[cpu.cpu_id])
-                     for cpu in machine.cpus],
-        "vcpus": [[regs(getattr(vcpu, attr)) for attr in VCPU_STRUCTS]
-                  for vcpu in vcpus],
-        "lrs": [(vcpu.used_lrs, list(vcpu.pending_virqs))
-                for vcpu in vcpus],
-    }
 
 
 def microbench_state(config, bench):
