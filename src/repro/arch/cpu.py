@@ -155,12 +155,14 @@ BLOCK_RESTORE = "restore"  # vcpu-struct value written to hardware
 # One direction of L0's world switch is one program: a tuple of steps in
 # program order.  Two runners read it: the per-phase runner
 # (repro.hypervisor.world_switch.run_switch), the reference, which opens
-# one span per phase; and Cpu.compile_switch / run_switch below, which
-# turn the whole direction into a few bulk moves and one charge per
-# category.  A register phase that runs on its own at real EL2 (each
-# phase of the per-phase runner, and the exit context read on every
-# trap) compiles the same way, as a one-phase program.  Slots index the
-# vcpu structs a run is given (the guest's and the host's).
+# one region per phase and crosses each fault point; and
+# Cpu.compile_switch / run_switch below, which turn the whole direction
+# into a few bulk moves and one charge per category, and describe the
+# regions the reference would have opened in one switch summary.  A
+# register phase that runs on its own at real EL2 (each phase of the
+# per-phase runner, and the exit context read on every trap) compiles
+# the same way, as a one-phase program.  Slots index the vcpu structs a
+# run is given (the guest's and the host's).
 #
 #   (SWITCH_PHASE, phase, slot)   a register phase, as a tuple
 #       (span, steps, values, before, after, barrier): its register
@@ -170,12 +172,13 @@ BLOCK_RESTORE = "restore"  # vcpu-struct value written to hardware
 #   (SWITCH_WORK, instructions, category)          Cpu.work
 #   (SWITCH_BARRIER,)                               Cpu.barrier
 #   (SWITCH_ERET,)                                  Cpu.eret at EL2
-#   (SWITCH_VGIC_SAVE, slot, (state, control), accesses)
-#   (SWITCH_VGIC_RESTORE, slot, (state, control), accesses)
+#   (SWITCH_VGIC_SAVE, slot, (state, control), accesses, span)
+#   (SWITCH_VGIC_RESTORE, slot, (state, control), accesses, span)
 #       the GICv2 MMIO vGIC save/restore of the live list registers:
 #       *state* moves with them, *control* is cleared after the save and
-#       enabled (1) before the restore, and *accesses* is (always, when
-#       any LR is live) device accesses besides one per live LR
+#       enabled (1) before the restore, *accesses* is (always, when any
+#       LR is live) device accesses besides one per live LR, and *span*
+#       names its region, whose detail is ``{"used_lrs": live}``
 #   (SWITCH_VGIC_SYSREG_SAVE, slot)                the GICv3 system-register
 #   (SWITCH_VGIC_SYSREG_RESTORE, slot)             vGIC (never compiled)
 #   (SWITCH_FOLD_LRS, slot)                        KVM's vgic_fold_lr_state
@@ -208,26 +211,56 @@ _FLUSH = "flush"  # (_FLUSH, slot, i_work, i_struct, (work, struct_access))
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
+#: The fault point a list register's save crosses (world_switch._filter_lr).
+_LR_POINT = "ws.vgic-lr"
+
 
 class CompiledSwitch:
     """A switch program compiled for one CPU at real EL2.
 
     ``ops`` are the bulk moves in program order (see ``_MOVE`` and
     friends).  ``cycles`` are the summed charges per category; the vGIC
-    ops add their live-LR-sized cycles to them by index when they run.
-    ``charges`` and ``flushed_charges`` are ``(index, category)`` in the
-    order the per-phase runner would first have charged them, without
-    and with an interrupt flushed: a category only the flush charges is
-    charged only then.
+    ops and the flush add their live-LR-sized cycles to them by index
+    when they run.  ``charges`` and ``flushed_charges`` are ``(index,
+    category)`` in the order the per-phase runner would first have
+    charged them, without and with an interrupt flushed: a category only
+    the flush charges is charged only then.
+
+    What the per-phase runner shows its observers and fault injector:
+    ``regions`` are the regions it opens, in order, each ``(name,
+    detail, begin, begin_live, end, end_live)``: a boundary is the
+    static offset from the switch's start plus the runtime cycles of the
+    first ``*_live`` vGIC or flush ops, and *detail* is None or, for a
+    vGIC region, its details indexed by the live LR count.  ``points``
+    are ``(point, hits)`` for the fault points its phases cross;
+    ``lr_save`` is None without an LR save, True when one save moves the
+    list registers live at the switch's start, and False when what it
+    saves is only known once the switch runs.
     """
 
-    __slots__ = ("ops", "cycles", "charges", "flushed_charges")
+    __slots__ = ("ops", "cycles", "charges", "flushed_charges", "regions",
+                 "points", "lr_save")
 
-    def __init__(self, ops, cycles, charges, flushed_charges):
+    def __init__(self, ops, cycles, charges, flushed_charges, regions=(),
+                 points=(), lr_save=None):
         self.ops = ops
         self.cycles = cycles
         self.charges = charges
         self.flushed_charges = flushed_charges
+        self.regions = regions
+        self.points = points
+        self.lr_save = lr_save
+
+    def summary(self, start, live):
+        """The regions of a run that began at ledger total *start* and
+        recorded *live* (see :meth:`Cpu.run_switch`), as ``(name,
+        detail, begin, end)`` in ledger totals."""
+        at = [start]
+        for _used, cycles in live:
+            at.append(at[-1] + cycles)
+        return [(name, detail if detail is None else detail[live[first][0]],
+                 at[first] + begin, at[last] + end)
+                for name, detail, begin, first, end, last in self.regions]
 
 
 class Cpu:
@@ -694,19 +727,33 @@ class Cpu:
         """
         return self.current_el == ExceptionLevel.EL2
 
-    def switch_eligible(self):
-        """May a compiled world switch stand in for the per-phase runner?
-        Checked once per switch.
+    def switch_eligible(self, switch, vcpu):
+        """May *switch*, compiled, stand in for the per-phase runner for
+        *vcpu* now?  Checked once per switch.
 
         Only where a compiled phase may (:meth:`block_eligible`), and
-        only while nothing sees the switch's phases: no observer (each
-        takes one region per phase), and no fault injector, which counts
-        ``ws.after-save``, ``ws.before-restore`` and ``ws.vgic-lr`` hits
-        (``FaultInjector.at_point`` and ``filter_lr_save``) without
-        checking the exception level.
+        only while no planned fault can fire inside it: an attached
+        fault injector is asked once whether one can within this
+        switch's hits of ``ws.after-save``, ``ws.before-restore`` and
+        ``ws.vgic-lr`` (the non-zero live list registers the vGIC save
+        moves, as ``world_switch._filter_lr`` counts them), and counts
+        them if none can.  Observers take the run's regions afterwards,
+        in one switch summary.
         """
-        return (not self.observers and self.fault_hook is None
-                and self.block_eligible())
+        if not self.block_eligible():
+            return False
+        hook = self.fault_hook
+        if hook is None:
+            return True
+        hits = switch.points
+        if switch.lr_save is not None:
+            if not switch.lr_save:
+                return False
+            lrs = self.el2_regs.read_many(LR_NAMES[:vcpu.used_lrs])
+            saved = len(lrs) - lrs.count(0)
+            if saved:
+                hits += ((_LR_POINT, saved),)
+        return hook.bulk_hits(hits)
 
     def compiled_switch(self, program, vhe, structs, phase=None):
         """This CPU's compiled switch for *program* run with *structs*
@@ -754,9 +801,12 @@ class Cpu:
         value read from a register store is masked again.  The vGIC ops
         do what ``world_switch.vgic_save_mmio``/``vgic_restore_mmio``
         and the list-register fold and flush do, in bulk.  Every charge
-        is summed per category in first-charge order.  Fault points
-        compile to nothing: :meth:`switch_eligible` admits no fault hook,
-        and a lone phase's runner crosses them itself.  Rejected too:
+        is summed per category in first-charge order.  Since moves merge
+        across phases, each region's boundaries come from the charges
+        before it, not from the ops.  Fault points compile to their hit
+        counts (``points``): :meth:`switch_eligible` has the injector
+        count them, and a lone phase's runner crosses them itself.
+        Rejected too:
         the system-register vGIC, list-register steps on a CPU without a
         GIC, a second interrupt flush, and a category first charged by
         interrupt flushing alone but charged unconditionally later (its
@@ -769,6 +819,11 @@ class Cpu:
         order = {}
         cycles = []
         always = []
+        regions = []
+        points = {}
+        lr_save = None
+        lrs_moved = False  # an op so far changed the LRs or their count
+        at = [0, 0]  # static cycles so far, runtime-sized ops so far
 
         def charge(category, amount, flush_only=False):
             index = order.get(category)
@@ -779,7 +834,12 @@ class Cpu:
             elif not (flush_only or always[index]):
                 always[index] = None  # rejected below
             cycles[index] += amount
+            at[0] += amount
             return index
+
+        def cross(point):
+            if point is not None:
+                points[point] = points.get(point, 0) + 1
 
         def move(src, dst, src_names, dst_names):
             last = ops[-1] if ops else None
@@ -800,10 +860,13 @@ class Cpu:
             kind = step[0]
             if kind == SWITCH_PHASE:
                 _kind, phase, slot = step
-                _span, steps, values, _before, _after, barrier = phase
+                span, steps, values, before, after, barrier = phase
                 steps = steps_of(steps)
                 if not steps:
                     return None
+                cross(before)
+                cross(after)
+                begin = tuple(at)
                 sysreg = loads = saves = written = 0
                 for name, enc, op in steps:
                     reg = lookup_register(name)
@@ -818,6 +881,8 @@ class Cpu:
                     if is_write and bank_is_el2 and target == "VNCR_EL2":
                         return None
                     bank = _EL2 if bank_is_el2 else _EL1
+                    if is_write and bank_is_el2 and target in LR_NAMES:
+                        lrs_moved = True
                     sysreg += (costs.sysreg_write if is_write
                                else costs.sysreg_read)
                     if op == BLOCK_SAVE:
@@ -842,6 +907,8 @@ class Cpu:
                     charge(category, saves * costs.mem_store)
                 if barrier:
                     charge("world_switch", costs.dsb_isb)
+                if span is not None:
+                    regions.append((span, None) + begin + tuple(at))
             elif kind == SWITCH_WORK:
                 charge(step[2], step[1] * costs.instr)
             elif kind == SWITCH_BARRIER:
@@ -851,7 +918,11 @@ class Cpu:
             elif self.gic is None:
                 return None  # the list-register steps need the GIC
             elif kind == SWITCH_VGIC_SAVE or kind == SWITCH_VGIC_RESTORE:
-                _kind, slot, (state, control), (fixed, when_live) = step
+                _kind, slot, (state, control), (fixed, when_live), span = step
+                if kind == SWITCH_VGIC_SAVE:
+                    lr_save = lr_save is None and not lrs_moved
+                lrs_moved = True
+                begin = tuple(at)
                 access = costs.vgic_mmio_access
                 i_mmio = charge("vgic_mmio", fixed * access)
                 by_live = []
@@ -874,16 +945,25 @@ class Cpu:
                     i_struct = charge(categories[slot], costs.mem_load)
                     ops.append((_VGIC_RESTORE, _STRUCT + slot, i_mmio,
                                 i_struct, tuple(by_live)))
+                at[1] += 1
+                # Details by live LR count, shared by every span this
+                # region yields (read-only).
+                details = tuple({"used_lrs": live}
+                                for live in range(self.gic.num_lrs + 1))
+                regions.append((span, details) + begin + tuple(at))
             elif kind == SWITCH_FOLD_LRS:
+                lrs_moved = True
                 ops.append((_FOLD, step[1], None, None, None))
             elif kind == SWITCH_FLUSH_LRS:
                 if any(op[0] == _FLUSH for op in ops):
                     return None  # which flush charges first would decide
+                lrs_moved = True
                 _kind, slot, instructions, category = step
                 i_work = charge(category, 0, flush_only=True)
                 i_struct = charge(categories[slot], 0, flush_only=True)
                 ops.append((_FLUSH, slot, i_work, i_struct,
                             (instructions * costs.instr, costs.mem_store)))
+                at[1] += 1
             else:
                 return None
         if None in always:
@@ -893,14 +973,17 @@ class Cpu:
             ops=tuple(ops), cycles=tuple(cycles),
             charges=tuple(charge for charge in charges
                           if always[charge[0]]),
-            flushed_charges=charges)
+            flushed_charges=charges, regions=tuple(regions),
+            points=tuple(points.items()), lr_save=lr_save)
 
-    def run_switch(self, switch, structs, vcpu):
+    def run_switch(self, switch, structs, vcpu, live=None):
         """Execute a compiled switch with *structs* in its slots: its
         moves in program order, then one ledger charge per category.
         *vcpu* owns the list registers the vGIC ops move: they read and
         update its ``used_lrs``, and the flush takes its queued
-        interrupts (``pending_lrs``)."""
+        interrupts (``pending_lrs``).  With a *live* list, each vGIC op
+        appends ``(live LRs, cycles)`` and the flush ``(None, cycles)``:
+        what :meth:`CompiledSwitch.summary` needs besides the start."""
         el2 = self.el2_regs
         stores = (self.el1_regs, el2, *[struct.regs for struct in structs])
         cycles = list(switch.cycles)
@@ -923,9 +1006,11 @@ class Cpu:
                     work, stored = d
                     cycles[b] += flushed * work
                     cycles[c] += flushed * stored
+                if live is not None:
+                    live.append((None, flushed * (d[0] + d[1])))
             else:
-                moved, written, zeros, mmio, struct_cycles = \
-                    d[vcpu.used_lrs]
+                used = vcpu.used_lrs
+                moved, written, zeros, mmio, struct_cycles = d[used]
                 if kind == _VGIC_SAVE:
                     stores[a].copy_from(el2, moved)
                     el2.put_many(written, zeros)
@@ -936,6 +1021,8 @@ class Cpu:
                 self.gic.sync_status(self)
                 cycles[b] += mmio
                 cycles[c] += struct_cycles
+                if live is not None:
+                    live.append((used, mmio + struct_cycles))
         charge = self.ledger.charge
         for index, category in (switch.flushed_charges if flushed
                                 else switch.charges):

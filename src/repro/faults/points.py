@@ -203,6 +203,25 @@ class FaultInjector:
 
     # -- world-switch hooks --------------------------------------------------
 
+    def bulk_hits(self, hits):
+        """A compiled world switch's one question: can an armed fault
+        fire within the next *hits*, ``(point, k)`` pairs of its
+        ``ws.after-save``, ``ws.before-restore`` and ``ws.vgic-lr``
+        crossings?  If not, count them all, as :meth:`at_point` and
+        :meth:`filter_lr_save` would have one by one, and return True;
+        otherwise count none and return False, and the switch runs phase
+        by phase so that the fault fires where it is due."""
+        counts = self.hits
+        for point, k in hits:
+            armed = self.armed.get(point)
+            if armed:
+                done = counts.get(point, 0)
+                if any(done < trigger <= done + k for trigger in armed):
+                    return False
+        for point, k in hits:
+            counts[point] = counts.get(point, 0) + k
+        return True
+
     def at_point(self, cpu, name):
         """Points ``ws.after-save`` / ``ws.before-restore``: the VM is
         migrated between saving and restoring state."""

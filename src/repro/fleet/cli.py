@@ -121,9 +121,18 @@ def main(argv=None):
     except ValueError as exc:
         print("fleet: %s" % exc, file=sys.stderr)
         return 2
-    if args.workers < 1:
-        print("fleet: workers must be >= 1", file=sys.stderr)
-        return 2
+    # Supervision settings that cannot work are the user's error, not a
+    # fleet failure: reject them before any worker starts.
+    for wrong, message in (
+            (args.workers < 1, "workers must be >= 1"),
+            (not args.timeout > 0, "--timeout must be > 0"),
+            (not args.heartbeat_timeout > 0,
+             "--heartbeat-timeout must be > 0"),
+            (args.retries < 0, "--retries must be >= 0"),
+            (not args.backoff >= 0, "--backoff must be >= 0")):
+        if wrong:
+            print("fleet: %s" % message, file=sys.stderr)
+            return 2
     chaos = (ChaosPlan.generate(args.seed, len(plan.shards))
              if args.chaos else None)
     config = FleetConfig(workers=args.workers,

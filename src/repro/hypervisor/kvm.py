@@ -336,15 +336,25 @@ class KvmHypervisor:
 
     def _switch(self, cpu, vcpu, span, program):
         """Run one direction of the world switch between *vcpu* and the
-        host kernel: compiled when nothing observes the CPU between its
-        phases (``Cpu.switch_eligible``, checked once) and the program
-        compiles, else phase by phase inside the *span*."""
+        host kernel: compiled when the program compiles and no planned
+        fault can fire inside it (``Cpu.switch_eligible``, checked
+        once), each observer then taking the run's regions in one
+        switch summary under the outer region *span*; else phase by
+        phase inside the *span*."""
         structs = (vcpu.el1_ctx, self.host_ctx[cpu.cpu_id])
-        if cpu.switch_eligible():
-            switch = cpu.compiled_switch(program, self.vhe, structs)
-            if switch is not None:
+        switch = cpu.compiled_switch(program, self.vhe, structs)
+        if switch is not None and cpu.switch_eligible(switch, vcpu):
+            observers = cpu.observers
+            if not observers:
                 cpu.run_switch(switch, structs, vcpu)
                 return
+            start = cpu.ledger.total
+            live = []
+            cpu.run_switch(switch, structs, vcpu, live)
+            regions = switch.summary(start, live)
+            for observer in observers:
+                observer.switch_summary(cpu, span, start, regions)
+            return
         with cpu_span(cpu, span):
             ws.run_switch(ws.make_ops(cpu, self.vhe), program, structs, vcpu)
 

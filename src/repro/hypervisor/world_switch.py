@@ -25,10 +25,13 @@ L0's whole world switch is one *switch program* per direction
 register phases, fixed charges, vGIC steps and fault points, in order.
 :meth:`repro.arch.cpu.Cpu.compile_switch` is L0's one compiler at real
 EL2: it turns a whole switch into a few bulk moves and one charge per
-category when nothing observes the CPU, and otherwise :func:`run_switch`
-runs it phase by phase, each register phase compiled on its own as a
-one-phase program.  The exit context read on every trap is a one-phase
-program too.  Every register phase reads the same program either way.
+category, and its observers get the regions :func:`run_switch` would
+have opened in one switch summary.  :func:`run_switch` still runs a
+switch phase by phase, each register phase compiled on its own as a
+one-phase program, when a planned fault may fire inside it or the
+switch does not compile.  The exit context read on every trap is a
+one-phase program too.  Every register phase reads the same program
+either way.
 """
 
 from repro.arch.cpu import (
@@ -418,6 +421,9 @@ def vgic_restore_v2(cpu, ctx, used_lrs, gich_base):
 #: control, which moves with the live LRs, and the hypervisor control,
 #: cleared after the save and enabled before the restore.
 _VGIC_MMIO_REGS = ("ICH_VMCR_EL2", "ICH_HCR_EL2")
+#: The spans of the MMIO vGIC save and restore.
+_VGIC_SAVE_MMIO = "ws.vgic_save_mmio"
+_VGIC_RESTORE_MMIO = "ws.vgic_restore_mmio"
 #: Device accesses of the MMIO vGIC save and restore besides one per live
 #: list register: ``(always, when any LR is live)``.
 _VGIC_MMIO_SAVE = (2, 1 + len(ICH_AP_REGS))
@@ -435,7 +441,7 @@ def vgic_save_mmio(cpu, ctx, used_lrs):
     the L0 host hypervisor on the paper's GICv2 testbed; the extra cost is
     a large part of why ARM exits cost ~2,700 cycles."""
     vmcr, hcr = _VGIC_MMIO_REGS
-    with cpu_span(cpu, "ws.vgic_save_mmio", used_lrs=used_lrs):
+    with cpu_span(cpu, _VGIC_SAVE_MMIO, used_lrs=used_lrs):
         accesses = _mmio_accesses(_VGIC_MMIO_SAVE, used_lrs)
         cpu.ledger.charge(accesses * cpu.costs.vgic_mmio_access, "vgic_mmio")
         ctx.save(vmcr, cpu.el2_regs.read(vmcr))
@@ -450,7 +456,7 @@ def vgic_save_mmio(cpu, ctx, used_lrs):
 
 def vgic_restore_mmio(cpu, ctx, used_lrs):
     vmcr, hcr = _VGIC_MMIO_REGS
-    with cpu_span(cpu, "ws.vgic_restore_mmio", used_lrs=used_lrs):
+    with cpu_span(cpu, _VGIC_RESTORE_MMIO, used_lrs=used_lrs):
         accesses = _mmio_accesses(_VGIC_MMIO_RESTORE, used_lrs)
         cpu.ledger.charge(accesses * cpu.costs.vgic_mmio_access, "vgic_mmio")
         cpu.el2_regs.write(vmcr, ctx.load(vmcr))  # lint: allow(sim-sysreg-bypass)
@@ -541,9 +547,10 @@ def make_ops(cpu, vhe):
 def _vgic_step(save, gic_mmio):
     if gic_mmio:
         if save:
-            return (SWITCH_VGIC_SAVE, GUEST, _VGIC_MMIO_REGS, _VGIC_MMIO_SAVE)
+            return (SWITCH_VGIC_SAVE, GUEST, _VGIC_MMIO_REGS, _VGIC_MMIO_SAVE,
+                    _VGIC_SAVE_MMIO)
         return (SWITCH_VGIC_RESTORE, GUEST, _VGIC_MMIO_REGS,
-                _VGIC_MMIO_RESTORE)
+                _VGIC_MMIO_RESTORE, _VGIC_RESTORE_MMIO)
     return (SWITCH_VGIC_SYSREG_SAVE if save else SWITCH_VGIC_SYSREG_RESTORE,
             GUEST)
 
@@ -585,12 +592,12 @@ def guest_switch_program(vhe, gic_mmio, vttbr):
 
 def run_switch(ops, program, structs, vcpu):
     """Run a switch program phase by phase: the reference runner, taken
-    whenever anything observes the CPU.  Each register phase opens its
-    own span with its fault points; at real EL2 it runs as a compiled
-    one-phase program, so *program* must be interned (one of
-    ``KvmHypervisor``'s).  *structs* fill the program's slots; *vcpu*
-    owns the list registers the vGIC steps move (``used_lrs`` and its
-    queued interrupts)."""
+    when a planned fault may fire inside the switch or it does not
+    compile.  Each register phase opens its own region and crosses its
+    fault points; at real EL2 it runs as a compiled one-phase program,
+    so *program* must be interned (one of ``KvmHypervisor``'s).
+    *structs* fill the program's slots; *vcpu* owns the list registers
+    the vGIC steps move (``used_lrs`` and its queued interrupts)."""
     cpu = ops.cpu
     compiled = cpu.block_eligible()
     for index, step in enumerate(program):

@@ -18,7 +18,7 @@ Everything here only *reads* the ledger; nothing ever charges it (the
 observer gate in ``tests/trace/test_observers.py`` checks it).
 """
 
-from repro.metrics.registry import MetricsRegistry
+from repro.metrics.registry import MetricsRegistry, label_str
 from repro.trace.spans import Observer
 
 
@@ -157,6 +157,15 @@ class MachineMetrics(Observer):
     def end(self, token):
         child, ledger, mark = token
         child.observe(ledger.total - mark)
+
+    def switch_summary(self, cpu, name, start, regions):
+        """Observe the phase cycles of a compiled world switch: *name*'s
+        from *start* to now, and each region's.  Region names are label
+        strings already, so each child is one lookup."""
+        child, config = self.phase_cycles.child, label_str(self.config)
+        child((config, name)).observe(cpu.ledger.total - start)
+        for region, _detail, begin, end in regions:
+            child((config, region)).observe(end - begin)
 
     def deferred(self, cpu, reg, is_write):
         self.vncr_deferred.labels(self.config, reg.name,

@@ -33,6 +33,7 @@ layers can use it without import cycles.
 import json
 import math
 from bisect import bisect_left
+from itertools import accumulate
 
 
 def format_value(value):
@@ -111,28 +112,32 @@ class GaugeValue(_Child):
 
 
 class HistogramValue(_Child):
-    """Cumulative-bucket histogram of observations."""
+    """Histogram of observations: one count per bucket, made cumulative
+    where it is read (:attr:`counts`)."""
 
-    __slots__ = ("buckets", "counts", "sum", "count")
+    __slots__ = ("buckets", "bucket_counts", "sum", "count")
 
     def __init__(self, label_values, buckets):
         super().__init__(label_values)
         self.buckets = buckets  # upper bounds, ascending, +Inf last
-        self.counts = [0] * len(buckets)
+        self.bucket_counts = [0] * len(buckets)  # the lowest bound >= value
         self.sum = 0
         self.count = 0
 
     def observe(self, value):
         self.sum += value
         self.count += 1
-        # Cumulative buckets: every bound >= value counts it.
-        counts = self.counts
-        for index in range(bisect_left(self.buckets, value), len(counts)):
-            counts[index] += 1
+        self.bucket_counts[bisect_left(self.buckets, value)] += 1
+
+    @property
+    def counts(self):
+        """The cumulative bucket counts: every bound >= a value counts
+        it, as the exports show them."""
+        return list(accumulate(self.bucket_counts))
 
     def get(self):
         return {"sum": self.sum, "count": self.count,
-                "buckets": list(self.counts)}
+                "buckets": self.counts}
 
 
 #: Default histogram buckets for simulated-cycle observations: spans
@@ -160,7 +165,10 @@ class MetricFamily:
     def _make_child(self, values):
         raise NotImplementedError
 
-    def _child(self, values):
+    def child(self, values):
+        """The child for *values*, label strings in ``labelnames`` order
+        (what :meth:`labels` makes of its arguments), created on first
+        use; no validation, for a caller that built them itself."""
         child = self._children.get(values)
         if child is None:
             child = self._children[values] = self._make_child(values)
@@ -187,13 +195,13 @@ class MetricFamily:
             if kwargs:
                 raise ValueError("unknown label(s) %s for %s"
                                  % (sorted(kwargs), self.name))
-        values = tuple(map(_label_str, values))
+        values = tuple(map(label_str, values))
         if len(values) != len(self.labelnames):
             raise ValueError("%s takes %d label(s) %r, got %r"
                              % (self.name, len(self.labelnames),
                                 self.labelnames, values))
         self._pull()
-        return self._child(values)
+        return self.child(values)
 
     def children(self):
         """Children sorted by label values — the deterministic order
@@ -247,7 +255,7 @@ class _Mirror:
 
     def __init__(self, source, prefix):
         self.source = source
-        self.prefix = tuple(_label_str(value) for value in prefix)
+        self.prefix = tuple(label_str(value) for value in prefix)
         self.seen = dict(source)  # the baseline: earlier counts are not ours
 
     def pull(self, family):
@@ -257,7 +265,7 @@ class _Mirror:
             if before != count:
                 # A key new since the baseline gets its series even at
                 # 0: a zero-cycle charge to a new category is exported.
-                family._child(self.prefix + (_label_str(key),)).inc(
+                family.child(self.prefix + (label_str(key),)).inc(
                     count - (before or 0))
                 seen[key] = count
 
@@ -374,8 +382,7 @@ class MetricsRegistry:
 
     @staticmethod
     def _histogram_lines(family, child, label_text):
-        # ``observe`` keeps the bucket counts cumulative already, as the
-        # exposition format requires.
+        # ``counts`` are cumulative, as the exposition format requires.
         lines = []
         prefix = label_text
         for bound, count in zip(family.buckets, child.counts):
@@ -474,8 +481,10 @@ class MetricsRegistry:
                             % (name, family.buckets, bounds))
                     child.sum += entry["sum"]
                     child.count += entry["count"]
+                    below = 0  # the documents' buckets are cumulative
                     for index, count in enumerate(entry["buckets"]):
-                        child.counts[index] += count
+                        child.bucket_counts[index] += count - below
+                        below = count
         return self
 
 
@@ -604,7 +613,7 @@ def _validate_name(name):
                          % (name,))
 
 
-def _label_str(value):
+def label_str(value):
     """Coerce a label value to its canonical string form (enum members
     export their ``value`` so ``ExitReason.HVC`` becomes ``"hvc"``)."""
     inner = getattr(value, "value", value)

@@ -171,7 +171,10 @@ class Observer:
 
     Regions: :meth:`begin_trap` (one per ``TrapCounter.record``) and
     :meth:`begin_phase` (one per :func:`cpu_span`) return a token, and
-    the region passes it back to :meth:`end` on the same observer.
+    the region passes it back to :meth:`end` on the same observer.  A
+    compiled world switch opens none: it reports the regions the
+    per-phase runner would have opened, after the fact, in one
+    :meth:`switch_summary`.
     """
 
     def attach_machine(self, owner):
@@ -192,6 +195,13 @@ class Observer:
 
     def end(self, token):
         """The region whose begin returned *token* ends."""
+
+    def switch_summary(self, cpu, name, start, regions):
+        """A compiled world switch ran on *cpu* from ledger total
+        *start* to now.  It stands for phase region *name* around
+        *regions*, each ``(name, detail, begin, end)`` in ledger totals,
+        one after another and none open at its end; a vGIC region's
+        *detail* dict is shared with other summaries, so read it only."""
 
     def deferred(self, cpu, reg, is_write):
         """A virtual-EL2 access resolved against the deferred access
@@ -346,25 +356,61 @@ class Tracer(Observer):
     def begin_phase(self, cpu, name, kind, detail):
         """Open a span for a phase region on *cpu* (None: no cpu); its
         exception level is the cpu's now."""
+        return self._open(name, kind, _clean(getattr(cpu, "current_el",
+                                                     None)),
+                          getattr(cpu, "cpu_id", None),
+                          _clean_detail(detail), self.now())
+
+    def _open(self, name, kind, el, cpu_id, detail, now):
+        """Open a span at clock reading *now* (see :meth:`now`)."""
         stack = self._stack
         if stack:
             parent_id = stack[-1].span_id
         else:
             parent_id = None
-            self._unattributed += self._observed() - self._idle_since
-        span = Span(self._next_id, parent_id, name, kind,
-                    _clean(getattr(cpu, "current_el", None)),
-                    getattr(cpu, "cpu_id", None), None,
-                    _clean_detail(detail), self.now())
+            observed = now if self._stop_cycle is None else self._stop_cycle
+            self._unattributed += observed - self._idle_since
+        span = Span(self._next_id, parent_id, name, kind, el, cpu_id, None,
+                    detail, now)
         self._next_id += 1
         stack.append(span)
         return span
 
     def end(self, span):
-        stack = self._stack
-        if span is None or span not in stack:
+        if span is None or span not in self._stack:
             return
-        now, observed = self.now(), self._observed()
+        self._close(span, self.now())
+
+    def switch_summary(self, cpu, name, start, regions):
+        """Record the spans the per-phase runner would have: *name* and,
+        inside it, one span per region, each ended before the next
+        begins.  Ids, parents, boundaries, self cycles, completion
+        order and eviction are what :meth:`begin_phase` and :meth:`end`
+        give them one region at a time; the regions are leaves, so each
+        span is built closed."""
+        el, cpu_id, base = _clean(cpu.current_el), cpu.cpu_id, self.base
+        outer = self._open(name, "phase", el, cpu_id, None, start - base)
+        parent, next_id = outer.span_id, self._next_id
+        stop = self._stop_cycle
+        closed = []
+        for region, detail, begin, end in regions:
+            span = Span(next_id, parent, region, "phase", el, cpu_id, None,
+                        detail, begin - base)
+            next_id += 1
+            span.end_cycle = end - base
+            span.self_cycles = (end - begin if stop is None
+                                else max(0, stop - span.start_cycle))
+            outer.child_cycles += span.self_cycles
+            closed.append(span)
+        self._next_id = next_id
+        self.buffer.extend(closed)
+        self._evict()
+        self._close(outer, self.now())
+
+    def _close(self, span, now):
+        """End open *span* at clock reading *now*."""
+        stack = self._stack
+        observed = now if self._stop_cycle is None else self._stop_cycle
         # Children left open (an exception unwound past them) close
         # here too, each like a normal end.
         while stack:
@@ -382,10 +428,15 @@ class Tracer(Observer):
 
     def _record(self, span):
         self.buffer.append(span)
-        while len(self.buffer) > self.capacity:
-            evicted = self.buffer.popleft()
+        self._evict()
+
+    def _evict(self):
+        """Drop the oldest spans beyond capacity, keeping their self
+        cycles in ``dropped_cycles``."""
+        buffer = self.buffer
+        while len(buffer) > self.capacity:
             self.dropped_spans += 1
-            self.dropped_cycles += evicted.self_cycles
+            self.dropped_cycles += buffer.popleft().self_cycles
 
     @contextmanager
     def span(self, name, kind="span", cpu=None, reason=None, detail=None):

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.fleet import cli
 
 
@@ -52,6 +54,22 @@ def test_rejects_malformed_requests(capsys):
     assert cli.main(["--machines", "0"]) == 2
     assert cli.main(["--machines", "4", "--workers", "0"]) == 2
     assert cli.main(["--machines", "4", "--shard-size", "0"]) == 2
+
+
+@pytest.mark.parametrize("setting", (
+    ("--timeout", "0"), ("--timeout", "-1"), ("--heartbeat-timeout", "0"),
+    ("--heartbeat-timeout", "-1"), ("--retries", "-1"),
+    ("--backoff", "-1")))
+def test_rejects_supervision_settings_that_cannot_work(monkeypatch, capsys,
+                                                       setting):
+    """A usage error (exit 2) before any worker starts, not a fleet
+    failure."""
+    def no_run(supervisor):
+        raise AssertionError("the supervisor ran")
+
+    monkeypatch.setattr(cli.Supervisor, "run", no_run)
+    assert cli.main(["--machines", "2", "--workers", "1", *setting]) == 2
+    assert "fleet: %s must be" % setting[0] in capsys.readouterr().err
 
 
 def test_flight_recorder_writes_a_replayable_journal(tmp_path, capsys):

@@ -2,18 +2,21 @@
 paths.
 
 At real EL2 the host hypervisor has one compiler for its register code
-(``Cpu.compile_switch``, run by ``Cpu.run_switch``), at two sizes.
-When nothing observes the CPU it runs each whole world switch as one
-compiled switch: a few bulk moves and one charge per category for the
-direction.  Otherwise the per-phase runner runs each register phase as
-a compiled one-phase program, as ``read_exit_context`` does on every
-trap.  The per-access and per-phase paths are the references.  These
-tests force them by patching the eligibility predicates
-(``Cpu.block_eligible`` turns both sizes off, ``Cpu.switch_eligible``
-only the whole switch) and require every observable to match: cycles,
-traps, the ledger's categories in order, register state, list
-registers and exports.
+(``Cpu.compile_switch``, run by ``Cpu.run_switch``), at two sizes.  It
+runs each whole world switch as one compiled switch: a few bulk moves
+and one charge per category for the direction, after which each
+observer takes the regions the per-phase runner would have opened in
+one switch summary.  Where a planned fault may fire inside the switch,
+the per-phase runner runs each register phase as a compiled one-phase
+program, as ``read_exit_context`` does on every trap.  The per-access
+and per-phase paths are the references.  These tests force them by
+patching the eligibility predicates (``Cpu.block_eligible`` turns both
+sizes off, ``Cpu.switch_eligible`` only the whole switch) and require
+every observable to match: cycles, traps, the ledger's categories in
+order, register state, list registers, the fault journal and exports.
 """
+
+import functools
 
 import pytest
 
@@ -25,12 +28,14 @@ from repro.arch.cpu import (
     BLOCK_SAVE,
     BLOCK_WRITE,
     SWITCH_PHASE,
+    CompiledSwitch,
     Cpu,
     Encoding,
 )
 from repro.arch.exceptions import ExceptionLevel
 from repro.arch.features import ARMV8_0, ARMV8_3, ARMV8_4
 from repro.arch.registers import RegisterFile
+from repro.faults import campaign
 from repro.faults.campaign import run_campaign
 from repro.faults.plan import FaultClass, FaultPlan, PlannedFault
 from repro.faults.points import FaultInjector
@@ -40,6 +45,7 @@ from repro.hypervisor.vcpu import VcpuStruct
 from repro.metrics.cycles import CycleLedger
 from repro.metrics.instrument import MachineMetrics
 from repro.metrics.registry import MetricsRegistry
+from repro.trace import spans
 from repro.trace.export import chrome_trace_json
 from repro.trace.spans import Tracer
 
@@ -55,27 +61,32 @@ def force_per_access(monkeypatch):
 
 
 def force_per_phase(monkeypatch):
-    monkeypatch.setattr(Cpu, "switch_eligible", lambda self: False)
+    monkeypatch.setattr(Cpu, "switch_eligible",
+                        lambda self, switch, vcpu: False)
 
 
 def count_compiled(monkeypatch):
     """The compiled programs run from now on, in two lists: whole switch
     programs, and one-phase programs (a phase of the per-phase runner,
-    or the exit context).  Every caller of ``Cpu.compiled_switch`` runs
-    the switch it gets."""
+    or the exit context)."""
     whole, one_phase = [], []
-    compiled_switch = Cpu.compiled_switch
+    programs = {}  # id of a compiled switch -> (switch, program, list)
+    compiled_switch, run_switch = Cpu.compiled_switch, Cpu.run_switch
 
-    def counting(self, program, vhe, structs, phase=None):
+    def lookup(self, program, vhe, structs, phase=None):
         switch = compiled_switch(self, program, vhe, structs, phase)
         if switch is not None:
-            if phase is None and len(program) > 1:
-                whole.append(program)
-            else:
-                one_phase.append(program)
+            programs[id(switch)] = (switch, program, whole if (
+                phase is None and len(program) > 1) else one_phase)
         return switch
 
-    monkeypatch.setattr(Cpu, "compiled_switch", counting)
+    def running(self, switch, *args):
+        _switch, program, ran = programs[id(switch)]
+        ran.append(program)
+        return run_switch(self, switch, *args)
+
+    monkeypatch.setattr(Cpu, "compiled_switch", lookup)
+    monkeypatch.setattr(Cpu, "run_switch", running)
     return whole, one_phase
 
 
@@ -176,8 +187,8 @@ def test_edited_el1_state_recompiles_and_moves_the_count(monkeypatch):
 def test_compile_cache_stays_bounded(monkeypatch, config, observed):
     """Only interned programs are compiled, so after a warm-up hypercall
     50 more add no entry to any CPU's cache: with trace and metrics
-    attached (*observed*: every L0 switch runs per phase) and with
-    nothing attached (whole switches)."""
+    attached (*observed*) and with nothing attached.  Whole switches
+    run either way."""
     suite = make_microbench(config)
     machine, cpu = suite.machine, suite.vm.vcpus[0].cpu
     if observed:
@@ -191,7 +202,7 @@ def test_compile_cache_stays_bounded(monkeypatch, config, observed):
         cpu.hvc()
     assert [len(each._switches) for each in machine.cpus] == warm
     assert one_phase
-    assert bool(whole) is not observed
+    assert whole
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +232,10 @@ def test_parity_catches_world_switch_charged_before_sysreg_on_save(
 
     def stores_first(self, program, vhe, categories):
         switch = compile_switch(self, program, vhe, categories)
+        if switch is None or len(program) > 1:  # whole switches: not run
+            return switch
         (_kind, phase, _slot), = program
-        if switch is not None and any(op == BLOCK_SAVE
-                                      for _name, _acc, op in phase[1]):
+        if any(op == BLOCK_SAVE for _name, _acc, op in phase[1]):
             switch.charges = switch.charges[::-1]
         return switch
 
@@ -310,6 +322,8 @@ def hypercall_exports_observed_late():
 
 def test_exports_after_an_unobserved_start_match_a_run_never_compiled(
         monkeypatch):
+    """Whole switches compile before and after the observers attach, and
+    the exports equal a run whose switches all ran per phase."""
     ran = count_compiled_switches(monkeypatch)
     tracer_attach = Tracer.attach_machine
     compiled_before_observing = []
@@ -321,26 +335,174 @@ def test_exports_after_an_unobserved_start_match_a_run_never_compiled(
     monkeypatch.setattr(Tracer, "attach_machine", attach_machine)
     observed = hypercall_exports_observed_late()
     assert compiled_before_observing[0] > 0
-    assert len(ran) == compiled_before_observing[0], \
-        "a compiled switch ran while observed"
+    assert len(ran) > compiled_before_observing[0], \
+        "no compiled switch ran while observed"
     force_per_phase(monkeypatch)
     assert_parity(observed, hypercall_exports_observed_late())
 
 
-def test_a_fault_injector_keeps_every_switch_per_phase(monkeypatch):
-    """The injector counts ws.after-save and ws.before-restore at real
-    EL2 too, so with one attached each L0 switch runs phase by phase:
-    one hypercall is two switches, two hits at each point."""
+def test_a_fault_injector_keeps_only_a_switch_with_a_fault_due_per_phase(
+        monkeypatch):
+    """With no fault due, each L0 switch compiles and the injector still
+    counts its hits: one hypercall is two switches, two hits at each of
+    ws.after-save and ws.before-restore.  With a migration armed at the
+    next ws.after-save hit, the switch that reaches it runs per phase
+    and the fault fires."""
     ran = count_compiled_switches(monkeypatch)
     suite = make_microbench("arm-vm")
     del ran[:]
-    injector = FaultInjector(FaultPlan(0, []))
+    injector = FaultInjector(FaultPlan(0, [
+        PlannedFault(0, FaultClass.MIGRATION, "ws.after-save", 3)]))
     for cpu in suite.machine.cpus:
         cpu.fault_hook = injector
     _l0_world_switch(suite)
-    assert not ran
+    assert len(ran) == 2
     assert injector.hits.get("ws.after-save") == 2
     assert injector.hits.get("ws.before-restore") == 2
+    assert injector.events == []
+    per_phase = []
+    run_switch = ws.run_switch
+    monkeypatch.setattr(ws, "run_switch", lambda *args: (
+        per_phase.append(args[1]), run_switch(*args)))
+    _l0_world_switch(suite)
+    assert len(ran) == 3 and len(per_phase) == 1
+    assert [event.point for event in injector.events] == ["ws.after-save"]
+    assert injector.hits.get("ws.after-save") == 4
+
+
+# ---------------------------------------------------------------------------
+# Observed compiled switches against the per-phase runner
+# ---------------------------------------------------------------------------
+
+WS_POINTS = ("ws.after-save", "ws.before-restore", "ws.vgic-lr")
+
+
+def observed_campaign(monkeypatch, seed, cpus, trace=True, capacity=None):
+    """One campaign with a metrics facade and, with *trace*, a tracer
+    (its ring bounded to *capacity* spans when given): the digest, the
+    sanitizer's checks, the fault journal with each firing's cycle, the
+    injectors' hit counts and every export.  ``per_phase`` lists, for
+    each L0 switch that ran phase by phase, how many ws.* faults fired
+    inside it."""
+    injectors, per_phase = [], []
+
+    class Recording(FaultInjector):
+        def __init__(self, plan):
+            super().__init__(plan)
+            injectors.append(self)
+
+    def fired():
+        return sum(event.point in WS_POINTS
+                   for injector in injectors for event in injector.events)
+
+    run_switch = ws.run_switch
+
+    def counting(*args):
+        before = fired()
+        run_switch(*args)
+        per_phase.append(fired() - before)
+
+    monkeypatch.setattr(campaign, "FaultInjector", Recording)
+    monkeypatch.setattr(ws, "run_switch", counting)
+    if capacity is not None:
+        monkeypatch.setattr(spans, "Tracer",
+                            functools.partial(Tracer, capacity=capacity))
+    registry = MetricsRegistry()
+    result = run_campaign(seed, cpus=cpus, trace=trace,
+                          metrics=MachineMetrics(registry=registry,
+                                                 config="parity"))
+    exports = {
+        "digest": result.digest,
+        "sanitizer_checks": result.sanitizer_checks,
+        "journal": [(event.fault.fault_id, event.point, event.seq,
+                     event.detail, event.outcome, event.recovery,
+                     event.at_cycle)
+                    for injector in injectors for event in injector.events],
+        "hits": [sorted(injector.hits.items()) for injector in injectors],
+        "prometheus": registry.prometheus_text(),
+        "json": registry.json_snapshot(),
+    }
+    if trace:
+        tracer = result.tracer
+        exports["trace"] = chrome_trace_json(tracer)
+        exports["dropped"] = (tracer.dropped_spans, tracer.dropped_cycles)
+    return exports, per_phase
+
+
+def assert_observed_parity(monkeypatch, seed, cpus, **mode):
+    """Compiled and forced per-phase runs of one observed campaign match;
+    whole switches ran while observed, and every switch that still ran
+    phase by phase had a ws.* fault fire inside it."""
+    with monkeypatch.context() as patch:
+        whole, _one_phase = count_compiled(patch)
+        compiled, per_phase = observed_campaign(patch, seed, cpus, **mode)
+    assert whole, "no whole switch ran while observed"
+    assert all(per_phase), \
+        "a switch with no fault due ran phase by phase"
+    force_per_phase(monkeypatch)
+    reference, _per_phase = observed_campaign(monkeypatch, seed, cpus,
+                                              **mode)
+    assert_parity(compiled, reference)
+    return compiled
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("cpus", (1, 2))
+def test_traced_metered_campaigns_match_per_phase(monkeypatch, seed, cpus):
+    assert_observed_parity(monkeypatch, seed, cpus)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_metered_campaigns_match_per_phase(monkeypatch, seed):
+    """The fleet's mode: metrics only."""
+    assert_observed_parity(monkeypatch, seed, 2, trace=False)
+
+
+@pytest.mark.parametrize("seed", (0, 3))
+def test_campaigns_on_an_evicting_ring_match_per_phase(monkeypatch, seed):
+    exports = assert_observed_parity(monkeypatch, seed, 2, capacity=64)
+    assert exports["dropped"][0] > 0, "the ring never evicted"
+
+
+# ---------------------------------------------------------------------------
+# Seeded violations in the switch summary and the injector's bulk hits:
+# the observed parity must fail
+# ---------------------------------------------------------------------------
+
+def test_observed_parity_catches_a_boundary_one_cycle_off(monkeypatch):
+    summary = CompiledSwitch.summary
+
+    def late_end(self, start, live):
+        regions = summary(self, start, live)
+        name, detail, begin, end = regions[0]
+        regions[0] = (name, detail, begin, end + 1)
+        return regions
+
+    monkeypatch.setattr(CompiledSwitch, "summary", late_end)
+    with pytest.raises(AssertionError):
+        assert_observed_parity(monkeypatch, 0, 1)
+
+
+def test_observed_parity_catches_a_dropped_span(monkeypatch):
+    summary = CompiledSwitch.summary
+    monkeypatch.setattr(CompiledSwitch, "summary",
+                        lambda self, start, live: summary(self, start,
+                                                          live)[:-1])
+    with pytest.raises(AssertionError):
+        assert_observed_parity(monkeypatch, 0, 1)
+
+
+def test_observed_parity_catches_a_fault_counted_in_bulk(monkeypatch):
+    """Seed 3's second vcpu has a migration armed at its second
+    ws.after-save hit: counted in bulk, it never fires."""
+    def ignore_armed(self, hits):
+        for point, k in hits:
+            self.hits[point] = self.hits.get(point, 0) + k
+        return True
+
+    monkeypatch.setattr(FaultInjector, "bulk_hits", ignore_armed)
+    with pytest.raises(AssertionError):
+        assert_observed_parity(monkeypatch, 3, 2, trace=False)
 
 
 def gic_sysreg_state():

@@ -14,10 +14,14 @@ per runner, and every observable must match
 
 A program compiles unless one of ``compile_switch``'s documented
 rejection reasons holds (the predicate below), and then it must not.
-One-phase programs are also checked against the per-access path.
+One-phase programs are also checked against the per-access path.  Run
+as L0 runs them, with tracers and a metrics facade attached, a compiled
+program's switch summary must export what the per-phase runner's
+regions do.
 """
 
 import random
+from contextlib import nullcontext
 from unittest import mock
 
 from hypothesis import example, given, settings
@@ -47,6 +51,10 @@ from repro.arch.features import ARMV8_0
 from repro.arch.gic import LR_NAMES, ListRegister, LrState
 from repro.arch.registers import RegClass, lookup_register
 from repro.hypervisor import world_switch as ws
+from repro.metrics.instrument import MachineMetrics
+from repro.metrics.registry import MetricsRegistry
+from repro.trace.export import chrome_trace_json
+from repro.trace.spans import Tracer
 
 from tests.conftest import machine_state
 
@@ -241,7 +249,7 @@ def twin(state):
     suite = make_microbench("arm-vm")
     machine, vcpu = suite.machine, suite.vm.vcpus[0]
     cpu = vcpu.cpu
-    cpu.host_e2h = state["vhe"]
+    cpu.host_e2h = machine.kvm.vhe = state["vhe"]
     structs = (vcpu.el1_ctx, machine.kvm.host_ctx[cpu.cpu_id])
     rng = random.Random(state["seed"])
     names = tuple(name for name, _accessors in ACCESSES)
@@ -340,3 +348,38 @@ def test_one_phase_programs_match_per_access(phase, state):
     with mock.patch.object(Cpu, "block_eligible", lambda self: False):
         per_access = run_per_phase(state, program)
     assert compiled == per_access
+
+
+def observed_exports(state, program, per_phase):
+    """*program* run as L0 runs a switch (``KvmHypervisor._switch``),
+    observed by a tracer, a tracer whose ring evicts, and a metrics
+    facade; *per_phase* forces the per-phase runner.  The exports and
+    the machine state."""
+    machine, vcpu, _structs = twin(state)
+    tracers = (Tracer().attach_machine(machine),
+               Tracer(capacity=3).attach_machine(machine))
+    registry = MetricsRegistry()
+    MachineMetrics(registry=registry, config="gen").attach_machine(machine)
+    cpu = vcpu.cpu
+    with mock.patch.object(Cpu, "switch_eligible", lambda self, switch,
+                           vcpu: False) if per_phase else nullcontext():
+        with cpu.host_mode():
+            machine.kvm._switch(cpu, vcpu, "gen.switch", program)
+    return {
+        "traces": [chrome_trace_json(tracer) for tracer in tracers],
+        "dropped": [(tracer.dropped_spans, tracer.dropped_cycles)
+                    for tracer in tracers],
+        "prometheus": registry.prometheus_text(),
+        "json": registry.json_snapshot(),
+        "state": machine_state(machine, [vcpu]),
+    }
+
+
+@SETTINGS
+@given(program=switch_programs(), state=machine_states)
+def test_observed_programs_export_what_the_per_phase_runner_does(
+        program, state):
+    if rejected(program, state["vhe"], categories_of(state)):
+        return
+    assert observed_exports(state, program, False) == observed_exports(
+        state, program, True)

@@ -1,4 +1,5 @@
-"""The tracer's boundary attribution equals per-charge attribution.
+"""The tracer's boundary attribution equals per-charge attribution, and
+a compiled world switch's summary equals the regions it stands for.
 
 The tracer reads a span's cycles off the ledger total when the span
 ends.  A reference attributor written here does it the direct way:
@@ -15,6 +16,7 @@ from collections import deque
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arch.exceptions import ExceptionLevel
 from repro.metrics.cycles import CycleLedger
 from repro.trace.spans import Tracer
 
@@ -108,3 +110,104 @@ def test_boundary_attribution_matches_per_charge_attribution(
     assert recon.ledger_delta == reference.charged
     assert recon.exact == (sum(reference.self_cycles.values())
                            + reference.unattributed == reference.charged)
+
+
+# ---------------------------------------------------------------------------
+# A compiled world switch's summary against the regions it stands for
+# ---------------------------------------------------------------------------
+
+class _Cpu:
+    """What the tracer reads of a cpu."""
+
+    current_el = ExceptionLevel.EL2
+    cpu_id = 1
+
+
+regions = st.lists(st.tuples(
+    st.sampled_from(("ws.save_el1_state", "ws.vgic_save_mmio")),
+    st.sampled_from((None, {"used_lrs": 0}, {"used_lrs": 3})),
+    st.integers(min_value=0, max_value=40),  # cycles before the region
+    st.integers(min_value=0, max_value=60)),  # the region's own
+    max_size=6)
+
+summary_operations = st.lists(st.one_of(
+    st.just(("begin",)),
+    st.tuples(st.just("end"), st.integers(min_value=0, max_value=20)),
+    st.tuples(st.just("charge"), st.integers(min_value=0, max_value=50)),
+    st.just(("instant",)),
+    st.just(("detach",)),
+    st.tuples(st.just("switch"), regions,
+              st.integers(min_value=0, max_value=40)),
+), max_size=40)
+
+
+def _span_fields(span):
+    return (span.span_id, span.parent_id, span.name, span.kind, span.el,
+            span.cpu_id, span.reason, span.detail, span.start_cycle,
+            span.end_cycle, span.self_cycles, span.child_cycles)
+
+
+def _per_region(tracer, ledger, cpu, parts, tail):
+    """The per-phase runner's events for one switch."""
+    outer = tracer.begin_phase(cpu, "l0.switch_to_host", "phase", None)
+    for name, detail, lead, cycles in parts:
+        ledger.charge(lead, "x")
+        token = tracer.begin_phase(cpu, name, "phase", detail)
+        ledger.charge(cycles, "x")
+        tracer.end(token)
+    ledger.charge(tail, "x")
+    tracer.end(outer)
+
+
+def _summarized(tracer, ledger, cpu, parts, tail):
+    """The same switch, charged at once and delivered as a summary."""
+    start = at = ledger.total
+    summary = []
+    for name, detail, lead, cycles in parts:
+        at += lead
+        summary.append((name, detail, at, at + cycles))
+        at += cycles
+    ledger.charge(at + tail - start, "x")
+    tracer.switch_summary(cpu, "l0.switch_to_host", start, summary)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(program=summary_operations,
+       capacity=st.integers(min_value=1, max_value=6),
+       base=st.integers(min_value=0, max_value=1000))
+def test_a_switch_summary_equals_the_regions_it_stands_for(
+        program, capacity, base):
+    """Random begin/end/charge/instant/detach programs with world
+    switches among them, on rings small enough to evict: one tracer
+    sees each switch region by region, the other its summary."""
+    runs = []
+    for deliver in (_per_region, _summarized):
+        ledger = CycleLedger()
+        ledger.charge(base, "before-attach")
+        tracer = Tracer(capacity=capacity).attach(ledger)
+        begun = []
+        for operation in program:
+            kind = operation[0]
+            if kind == "begin":
+                begun.append(tracer.begin("s%d" % len(begun)))
+            elif kind == "end" and begun:
+                tracer.end(begun[operation[1] % len(begun)])
+            elif kind == "charge":
+                ledger.charge(operation[1], "x")
+            elif kind == "instant":
+                tracer.instant("i")
+            elif kind == "detach":
+                tracer.detach()
+            elif kind == "switch":
+                deliver(tracer, ledger, _Cpu(), operation[1], operation[2])
+        runs.append({
+            "spans": [_span_fields(span) for span in tracer.spans()],
+            "open": [_span_fields(span) for span in tracer.open_spans()],
+            "instants": [(event.event_id, event.parent_id, event.ts)
+                         for event in tracer.instants()],
+            "dropped": (tracer.dropped_spans, tracer.dropped_cycles,
+                        tracer.dropped_instants),
+            "unattributed": tracer.unattributed_cycles,
+            "reconcile": tracer.reconcile(),
+        })
+    assert runs[0] == runs[1]
