@@ -241,8 +241,8 @@ class CompiledSwitch:
     __slots__ = ("ops", "cycles", "charges", "flushed_charges", "regions",
                  "points", "lr_save")
 
-    def __init__(self, ops, cycles, charges, flushed_charges, regions=(),
-                 points=(), lr_save=None):
+    def __init__(self, ops, cycles, charges, flushed_charges, regions,
+                 points, lr_save):
         self.ops = ops
         self.cycles = cycles
         self.charges = charges
@@ -806,11 +806,10 @@ class Cpu:
         before it, not from the ops.  Fault points compile to their hit
         counts (``points``): :meth:`switch_eligible` has the injector
         count them, and a lone phase's runner crosses them itself.
-        Rejected too:
-        the system-register vGIC, list-register steps on a CPU without a
-        GIC, a second interrupt flush, and a category first charged by
-        interrupt flushing alone but charged unconditionally later (its
-        position would depend on the flush).
+        Rejected too: the system-register vGIC, list-register steps on a
+        CPU without a GIC, a second interrupt flush, and a category
+        first charged by interrupt flushing alone but charged
+        unconditionally later (its position would depend on the flush).
         """
         costs = self.costs
         has_vhe = self.arch.has_vhe

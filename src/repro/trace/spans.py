@@ -387,7 +387,9 @@ class Tracer(Observer):
         begins.  Ids, parents, boundaries, self cycles, completion
         order and eviction are what :meth:`begin_phase` and :meth:`end`
         give them one region at a time; the regions are leaves, so each
-        span is built closed."""
+        span is built closed.  The ring evicts oldest first, so evicting
+        once the outer span is recorded drops what evicting after each
+        span would."""
         el, cpu_id, base = _clean(cpu.current_el), cpu.cpu_id, self.base
         outer = self._open(name, "phase", el, cpu_id, None, start - base)
         parent, next_id = outer.span_id, self._next_id
@@ -404,7 +406,6 @@ class Tracer(Observer):
             closed.append(span)
         self._next_id = next_id
         self.buffer.extend(closed)
-        self._evict()
         self._close(outer, self.now())
 
     def _close(self, span, now):
@@ -428,15 +429,10 @@ class Tracer(Observer):
 
     def _record(self, span):
         self.buffer.append(span)
-        self._evict()
-
-    def _evict(self):
-        """Drop the oldest spans beyond capacity, keeping their self
-        cycles in ``dropped_cycles``."""
-        buffer = self.buffer
-        while len(buffer) > self.capacity:
+        while len(self.buffer) > self.capacity:
+            evicted = self.buffer.popleft()
             self.dropped_spans += 1
-            self.dropped_cycles += buffer.popleft().self_cycles
+            self.dropped_cycles += evicted.self_cycles
 
     @contextmanager
     def span(self, name, kind="span", cpu=None, reason=None, detail=None):
