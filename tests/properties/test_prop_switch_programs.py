@@ -284,10 +284,6 @@ def run_per_phase(state, program):
     return machine_state(machine, [vcpu])
 
 
-def categories_of(state):
-    return state["categories"]
-
-
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
@@ -307,7 +303,7 @@ TWO_FLUSHES = dict(
 @example(**TWO_FLUSHES)
 @given(program=switch_programs(), state=machine_states)
 def test_generated_programs_match_the_per_phase_runner(program, state):
-    vhe, categories = state["vhe"], categories_of(state)
+    vhe, categories = state["vhe"], state["categories"]
     machine, _vcpu, _structs = twin(state)
     compiled = machine.cpus[0].compile_switch(program, vhe, categories)
     if rejected(program, vhe, categories):
@@ -338,7 +334,7 @@ def test_a_cpu_without_a_gic_or_vhe_rejects_what_it_cannot_run(
 @given(phase=register_phases(max_steps=10), state=machine_states)
 def test_one_phase_programs_match_per_access(phase, state):
     program = (phase,)
-    vhe, categories = state["vhe"], categories_of(state)
+    vhe, categories = state["vhe"], state["categories"]
     machine, _vcpu, _structs = twin(state)
     if rejected(program, vhe, categories):
         assert machine.cpus[0].compile_switch(program, vhe,
@@ -379,7 +375,7 @@ def observed_exports(state, program, per_phase):
 @given(program=switch_programs(), state=machine_states)
 def test_observed_programs_export_what_the_per_phase_runner_does(
         program, state):
-    if rejected(program, state["vhe"], categories_of(state)):
+    if rejected(program, state["vhe"], state["categories"]):
         return
     assert observed_exports(state, program, False) == observed_exports(
         state, program, True)
